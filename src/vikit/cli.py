@@ -2,20 +2,21 @@
 emit CSV traces and JSON reports.
 
 Exit codes: 0 all tasks ran and every verification passed; 1 a verification
-failed; 2 malformed scenario JSON; 3 a precondition was violated; 4 a solver
-diverged.
+failed; 2 malformed scenario JSON; 3 a scenario field is missing, mistyped or
+invalid, or a precondition was violated; 4 a solver diverged.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -86,28 +87,41 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
+        """Parse a decoded scenario; a missing or mistyped field raises ValidationError."""
+        if not isinstance(doc, dict):
+            raise ValidationError("scenario must be a JSON object")
         for key in ("name", "operator", "set", "config", "x0", "tasks"):
             if key not in doc:
                 raise ValidationError(f"scenario missing field '{key}'")
-        tasks = tuple(doc["tasks"])
-        for task in tasks:
-            if task not in TASKS:
-                raise ValidationError(f"unknown task '{task}'")
-        scenario = cls(
-            name=str(doc["name"]),
-            operator=AffineOperator.from_json(doc["operator"]),
-            set_=set_from_json(doc["set"]),
-            config=IterationConfig.from_json(doc["config"]),
-            x0=np.asarray(doc["x0"], dtype=float),
-            tasks=tasks,
-            map_s=map_from_json(doc.get("map_s")),
-            x_star=None if doc.get("x_star") is None else np.asarray(doc["x_star"], dtype=float),
-            anchor=None if doc.get("anchor") is None else np.asarray(doc["anchor"], dtype=float),
-            moduli=doc.get("moduli"),
-            grid=doc.get("grid"),
-            delta=float(doc.get("delta", DEFAULT_COMPARISON_DELTA)),
-            description=str(doc.get("description", "")),
-        )
+        name = str(doc["name"])
+        if not _is_plain_stem(name):
+            raise ValidationError(f"scenario name {name!r} is not a plain file stem")
+
+        def optional_vector(key):
+            return None if doc.get(key) is None else np.asarray(doc[key], dtype=float)
+
+        try:
+            tasks = tuple(doc["tasks"])
+            for task in tasks:
+                if task not in TASKS:
+                    raise ValidationError(f"unknown task '{task}'")
+            scenario = cls(
+                name=name,
+                operator=AffineOperator.from_json(doc["operator"]),
+                set_=set_from_json(doc["set"]),
+                config=IterationConfig.from_json(doc["config"]),
+                x0=np.asarray(doc["x0"], dtype=float),
+                tasks=tasks,
+                map_s=map_from_json(doc.get("map_s")),
+                x_star=optional_vector("x_star"),
+                anchor=optional_vector("anchor"),
+                moduli=_numeric_fields(doc.get("moduli"), ("m", "v", "eps")),
+                grid=_numeric_fields(doc.get("grid"), ("h", "vi_tolerance")),
+                delta=float(doc.get("delta", DEFAULT_COMPARISON_DELTA)),
+                description=str(doc.get("description", "")),
+            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError(f"mistyped scenario field: {exc}") from exc
         if "compare_stopping" in tasks and scenario.x_star is None:
             raise ValidationError("task 'compare_stopping' requires field 'x_star'")
         if "brute_force" in tasks and scenario.grid is None:
@@ -122,6 +136,18 @@ class Scenario:
             h=float(self.grid["h"]),
             vi_tolerance=float(self.grid.get("vi_tolerance", 1e-9)),
         )
+
+
+def _is_plain_stem(name: str) -> bool:
+    """True iff output files named after ``name`` stay inside the output directory."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
+def _numeric_fields(spec: dict | None, keys) -> dict | None:
+    """A copy of an optional sub-object with its fields ``keys`` as floats."""
+    if spec is None:
+        return None
+    return {**spec, **{key: float(spec[key]) for key in keys if key in spec}}
 
 
 def _fmt(value: float) -> str:
@@ -185,6 +211,12 @@ def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[Verificati
     records: dict = {}
     reports: list[VerificationReport] = []
 
+    @functools.cache
+    def oracle() -> tuple[BruteForceGrid, np.ndarray]:
+        """The scenario's grid and its VI solution set, computed on first use."""
+        grid = scenario.make_grid()
+        return grid, brute_force_vi(op, grid)
+
     for task in scenario.tasks:
         if task == "solve_pg":
             trace = solve_projected_gradient(op, set_, cfg, scenario.x0, x_ref=scenario.x_star)
@@ -215,34 +247,30 @@ def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[Verificati
 
         elif task == "verify_lemma31":
             certified = certify_moduli(op)
-            task_reports = []
             if certified.ism_alpha is None or certified.expansiveness <= 0.0:
-                task_reports.append(
-                    VerificationReport(
-                        property="ism_expansive_singleton",
-                        status=PRECONDITION_VIOLATED,
-                        witness=None,
-                        samples_used=0,
-                        max_violation=0.0,
-                        seed=cfg.seed,
-                        note="operator lacks a certified ism modulus or is not expansive",
-                    )
-                )
+                task_reports = [VerificationReport(
+                    property="ism_expansive_singleton",
+                    status=PRECONDITION_VIOLATED,
+                    witness=None,
+                    samples_used=0,
+                    max_violation=0.0,
+                    seed=cfg.seed,
+                    note="operator lacks a certified ism modulus or is not expansive",
+                )]
             else:
                 pairs = sample_pairs(op.dim, seed=cfg.seed)
-                task_reports.append(
-                    check_ism(op, certified.ism_alpha, pairs, seed=cfg.seed)
-                )
-                task_reports.append(
-                    check_expansive(op, certified.expansiveness, pairs, seed=cfg.seed)
-                )
+                task_reports = [
+                    check_ism(op, certified.ism_alpha, pairs, seed=cfg.seed),
+                    check_expansive(op, certified.expansiveness, pairs, seed=cfg.seed),
+                ]
                 if isinstance(set_, (Box, Simplex)) and scenario.grid is not None:
-                    task_reports.append(check_singleton_vi(op, scenario.make_grid(), seed=cfg.seed))
+                    grid, solutions = oracle()
+                    task_reports.append(check_singleton_vi(solutions, grid, seed=cfg.seed))
             reports.extend(task_reports)
             records[task] = {"reports": [r.as_dict() for r in task_reports]}
 
         elif task == "brute_force":
-            solutions = brute_force_vi(op, scenario.make_grid())
+            solutions = oracle()[1]
             records[task] = {
                 "solutions": [[float(v) for v in row] for row in solutions],
                 "count": int(solutions.shape[0]),
@@ -281,22 +309,19 @@ def run_scenario(
         return EXIT_BAD_JSON
 
     overrides = {"seed": seed, "max_iters": max_iters}
-    if seed is not None or max_iters is not None:
-        config = doc.get("config", {})
-        if seed is not None:
-            config["seed"] = seed
-        if max_iters is not None:
-            config["max_iters"] = max_iters
-        doc["config"] = config
-
     status = EXIT_OK
     records: dict = {}
     reports: list[VerificationReport] = []
     error: str | None = None
-    name = str(doc.get("name", path.stem))
+    # Until the scenario parses, an unusable name falls back to the file's stem.
+    name = str(doc.get("name", path.stem)) if isinstance(doc, dict) else path.stem
+    name = name if _is_plain_stem(name) else path.stem
     try:
         scenario = Scenario.from_dict(doc)
         name = scenario.name
+        scenario.config = replace(
+            scenario.config, **{k: v for k, v in overrides.items() if v is not None}
+        )
         records, reports = _run_tasks(scenario, out_dir)
     except DivergenceError as exc:
         error = str(exc)
@@ -367,10 +392,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return run_scenario(args.scenario, args.out, seed=args.seed, max_iters=args.max_iters)
-    if args.command == "list-golden":
-        for name, description in list_golden():
-            print(f"{name}: {description}")
-        return EXIT_OK
+    for name, description in list_golden():
+        print(f"{name}: {description}")
     return EXIT_OK
 
 

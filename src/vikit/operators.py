@@ -10,11 +10,12 @@ inequalities on sampled pairs and report the first violating pair on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .reports import PASS, VerificationReport, pairwise_report
+from .reports import VerificationReport, pairwise_report
 
 # Additive slack on every inequality check: double-precision rounding on norms
 # of O(1)-O(10) vectors.
@@ -56,6 +57,30 @@ class AffineOperator:
     def __call__(self, x) -> np.ndarray:
         return evaluate(self, x)
 
+    @cached_property
+    def moduli(self) -> OperatorModuli:
+        """Exact moduli from the spectrum of M, computed on first access.
+
+        lipschitz = sigma_max(M), expansiveness = sigma_min(M),
+        strong_monotonicity = lambda_min((M + M^T)/2).  The cocoercive pair
+        defaults to (0, v): a v-strongly monotone map is relaxed (u, v)-cocoercive
+        for any u >= 0, the slack term only weakens the bound.  Caching is sound
+        because the matrix is read-only.
+        """
+        singular = np.linalg.svd(self.matrix, compute_uv=False)
+        eps = float(singular[0])
+        gamma = float(singular[-1])
+        sym = 0.5 * (self.matrix + self.matrix.T)
+        v = float(np.linalg.eigvalsh(sym)[0])
+        alpha = v / eps**2 if v > 0.0 else None
+        return OperatorModuli(
+            lipschitz=eps,
+            strong_monotonicity=v,
+            ism_alpha=alpha,
+            expansiveness=gamma,
+            cocoercive_pair=(0.0, v),
+        )
+
     @classmethod
     def from_json(cls, doc: dict) -> "AffineOperator":
         """Build from {"matrix": [[...]], "offset": [...]}."""
@@ -92,26 +117,8 @@ def evaluate(op: AffineOperator, x) -> np.ndarray:
 
 
 def certify_moduli(op: AffineOperator) -> OperatorModuli:
-    """Compute exact moduli from the spectrum of M.
-
-    lipschitz = sigma_max(M), expansiveness = sigma_min(M),
-    strong_monotonicity = lambda_min((M + M^T)/2).  The cocoercive pair
-    defaults to (0, v): a v-strongly monotone map is relaxed (u, v)-cocoercive
-    for any u >= 0, the slack term only weakens the bound.
-    """
-    singular = np.linalg.svd(op.matrix, compute_uv=False)
-    eps = float(singular[0])
-    gamma = float(singular[-1])
-    sym = 0.5 * (op.matrix + op.matrix.T)
-    v = float(np.linalg.eigvalsh(sym)[0])
-    alpha = v / eps**2 if v > 0.0 else None
-    return OperatorModuli(
-        lipschitz=eps,
-        strong_monotonicity=v,
-        ism_alpha=alpha,
-        expansiveness=gamma,
-        cocoercive_pair=(0.0, v),
-    )
+    """The operator's certified moduli; see ``AffineOperator.moduli``."""
+    return op.moduli
 
 
 def sample_pairs(
@@ -130,8 +137,15 @@ def sample_pairs(
     return xs, ys
 
 
-def _pair_arrays(op: AffineOperator, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a pair collection to two (k, n) arrays and validate shapes.
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise inner products of two (k, n) arrays."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _check_pairs(op: AffineOperator, name: str, pairs, seed, deficits) -> VerificationReport:
+    """Engine of the pairwise checkers: normalize the pairs to two validated
+    (k, n) arrays xs, ys, form z = xs - ys and Mz = Ax - Ay once, and report on
+    the slack deficits ``deficits(z, Mz)`` (see ``pairwise_report``).
 
     Accepts a 2-tuple of stacked (k, n) arrays, a single (x, y) pair, or a
     sequence of (x, y) pairs.
@@ -145,15 +159,14 @@ def _pair_arrays(op: AffineOperator, pairs) -> tuple[np.ndarray, np.ndarray]:
             xs, ys = a[None, :], b[None, :]
     if xs is None:
         seq = list(pairs)
-        if not seq:
-            raise ValidationError("empty pair list: vacuous check refused")
         xs = np.asarray([p[0] for p in seq], dtype=float)
         ys = np.asarray([p[1] for p in seq], dtype=float)
     if xs.shape[0] == 0:
         raise ValidationError("empty pair list: vacuous check refused")
     if xs.shape != ys.shape or xs.ndim != 2 or xs.shape[1] != op.dim:
         raise DimensionMismatchError(op.dim, int(xs.shape[-1]), what="sample pair")
-    return xs, ys
+    z = xs - ys
+    return pairwise_report(name, deficits(z, z @ op.matrix.T), xs, ys, seed=seed)
 
 
 def check_ism(
@@ -166,12 +179,10 @@ def check_ism(
     """Check <Ax - Ay, x - y> >= alpha * |Ax - Ay|^2 on every pair."""
     if alpha <= 0.0:
         raise ValidationError("ism modulus alpha must be positive")
-    xs, ys = _pair_arrays(op, pairs)
-    dz = (xs - ys) @ op.matrix.T
-    z = xs - ys
-    lhs = np.einsum("ij,ij->i", dz, z)
-    rhs = alpha * np.einsum("ij,ij->i", dz, dz)
-    return pairwise_report(f"ism(alpha={alpha:g})", rhs - lhs - tolerance, xs, ys, seed=seed)
+    return _check_pairs(
+        op, f"ism(alpha={alpha:g})", pairs, seed,
+        lambda z, dz: alpha * _rowdot(dz, dz) - _rowdot(dz, z) - tolerance,
+    )
 
 
 def check_relaxed_cocoercive(
@@ -187,13 +198,9 @@ def check_relaxed_cocoercive(
         raise ValidationError("cocoercivity constant v must be positive")
     if u < 0.0:
         raise ValidationError("cocoercivity constant u must be nonnegative")
-    xs, ys = _pair_arrays(op, pairs)
-    dz = (xs - ys) @ op.matrix.T
-    z = xs - ys
-    lhs = np.einsum("ij,ij->i", dz, z)
-    rhs = -u * np.einsum("ij,ij->i", dz, dz) + v * np.einsum("ij,ij->i", z, z)
-    return pairwise_report(
-        f"relaxed_cocoercive(u={u:g},v={v:g})", rhs - lhs - tolerance, xs, ys, seed=seed
+    return _check_pairs(
+        op, f"relaxed_cocoercive(u={u:g},v={v:g})", pairs, seed,
+        lambda z, dz: -u * _rowdot(dz, dz) + v * _rowdot(z, z) - _rowdot(dz, z) - tolerance,
     )
 
 
@@ -207,11 +214,10 @@ def check_expansive(
     """Check |A x - A y| >= gamma * |x - y| - tolerance on every pair."""
     if gamma <= 0.0:
         raise ValidationError("expansiveness modulus gamma must be positive")
-    xs, ys = _pair_arrays(op, pairs)
-    z = xs - ys
-    lhs = np.linalg.norm(z @ op.matrix.T, axis=1)
-    rhs = gamma * np.linalg.norm(z, axis=1)
-    return pairwise_report(f"expansive(gamma={gamma:g})", rhs - lhs - tolerance, xs, ys, seed=seed)
+    return _check_pairs(
+        op, f"expansive(gamma={gamma:g})", pairs, seed,
+        lambda z, dz: gamma * np.linalg.norm(z, axis=1) - np.linalg.norm(dz, axis=1) - tolerance,
+    )
 
 
 __all__ = [

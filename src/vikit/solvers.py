@@ -12,7 +12,8 @@ bound s_n / gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 
@@ -25,7 +26,6 @@ MAX_ITERS = "MaxIters"
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 DEFAULT_MAX_ITERS = 10_000
-MEMBERSHIP_TOL = 1e-6
 DEFAULT_COMPARISON_DELTA = 1e-6
 
 
@@ -82,7 +82,7 @@ class IterationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.step) and self.step > 0.0):
+        if not (isinstance(self.step, Real) and np.isfinite(self.step) and self.step > 0.0):
             raise ConfigurationError("step must be positive")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be >= 1")
@@ -355,13 +355,7 @@ def compare_stopping(
         )
     # Run past both thresholds: the natural-residual stop must not cut the
     # trace before the shortcut criterion has a chance to fire.
-    inner = IterationConfig(
-        step=cfg.step,
-        anchor_schedule=cfg.anchor_schedule,
-        max_iters=cfg.max_iters,
-        residual_tol=min(cfg.residual_tol, delta * 1e-3),
-        seed=cfg.seed,
-    )
+    inner = replace(cfg, residual_tol=min(cfg.residual_tol, delta * 1e-3))
     trace = solve_projected_gradient(op, set_, inner, x0, x_ref=x_star)
 
     def first_at_most(values, target):
@@ -392,6 +386,5 @@ __all__ = [
     "ComparisonRecord",
     "CONVERGED",
     "MAX_ITERS",
-    "MEMBERSHIP_TOL",
     "DEFAULT_COMPARISON_DELTA",
 ]

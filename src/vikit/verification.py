@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import Box, ConvexSet, Simplex
-from .operators import DEFAULT_TOLERANCE, AffineOperator, _pair_arrays
-from .reports import FAIL, PASS, PRECONDITION_VIOLATED, VerificationReport, pairwise_report
+from .operators import DEFAULT_TOLERANCE, AffineOperator, _check_pairs, _rowdot
+from .reports import FAIL, PASS, PRECONDITION_VIOLATED, VerificationReport
+from .reports import pairwise_report  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 GRID_POINT_GUARD = 10_000_000
 GRID_DIM_GUARD = 3
@@ -56,10 +57,7 @@ class BruteForceGrid:
 
     def count(self) -> int:
         if isinstance(self.set_, Box):
-            total = 1
-            for steps in self._axis_steps():
-                total *= steps + 1
-            return total
+            return math.prod(steps + 1 for steps in self._axis_steps())
         k = self._simplex_resolution()
         n = self.set_.dim
         return math.comb(k + n - 1, n - 1)
@@ -133,43 +131,26 @@ def _diameter(points: np.ndarray) -> tuple[float, int, int]:
 
 
 def check_singleton_vi(
-    op: AffineOperator, grid: BruteForceGrid, seed: int | None = None
+    solutions: np.ndarray, grid: BruteForceGrid, seed: int | None = None
 ) -> VerificationReport:
-    """Pass iff the oracle's solution set is nonempty with diameter <= 2h*sqrt(n).
+    """Pass iff the oracle's solution set ``brute_force_vi(op, grid)`` is
+    nonempty with diameter <= 2h*sqrt(n).
 
     A true singleton's grid approximants occupy adjacent cells only, so the
     diameter threshold certifies uniqueness at resolution h.
     """
-    solutions = brute_force_vi(op, grid)
-    name = f"singleton_vi(h={grid.h:g})"
-    if solutions.shape[0] == 0:
-        return VerificationReport(
-            property=name,
-            status=FAIL,
-            witness=None,
-            samples_used=int(grid.count()),
-            max_violation=float("inf"),
-            seed=seed,
-            note="VI(C,A) empty at this resolution",
-        )
+    empty = solutions.shape[0] == 0
     threshold = 2.0 * grid.h * math.sqrt(grid.set_.dim)
-    diameter, i, j = _diameter(solutions)
-    if diameter <= threshold:
-        return VerificationReport(
-            property=name,
-            status=PASS,
-            witness=None,
-            samples_used=int(grid.count()),
-            max_violation=diameter - threshold,
-            seed=seed,
-        )
+    diameter, i, j = (math.inf, 0, 0) if empty else _diameter(solutions)
+    passed = diameter <= threshold
     return VerificationReport(
-        property=name,
-        status=FAIL,
-        witness=(solutions[i].copy(), solutions[j].copy()),
+        property=f"singleton_vi(h={grid.h:g})",
+        status=PASS if passed else FAIL,
+        witness=None if passed or empty else (solutions[i].copy(), solutions[j].copy()),
         samples_used=int(grid.count()),
         max_violation=diameter - threshold,
         seed=seed,
+        note="VI(C,A) empty at this resolution" if empty else None,
     )
 
 
@@ -197,7 +178,7 @@ def lemma_cocoercive_expansive(
     gamma = v - m * eps**2
     name = f"cocoercive_expansive(m={m:g},v={v:g},eps={eps:g})"
     if gamma <= 0.0:
-        report = VerificationReport(
+        return VerificationReport(
             property=name,
             status=PRECONDITION_VIOLATED,
             witness=None,
@@ -205,19 +186,16 @@ def lemma_cocoercive_expansive(
             max_violation=0.0,
             seed=seed,
             note=f"derived modulus v - m*eps^2 = {gamma:g} is not positive",
-        )
-        return report, gamma
-    xs, ys = _pair_arrays(op, pairs)
-    z = xs - ys
-    dz = z @ op.matrix.T
-    norm_z = np.linalg.norm(z, axis=1)
-    norm_dz = np.linalg.norm(dz, axis=1)
-    inner = np.einsum("ij,ij->i", dz, z)
-    expansive_deficit = gamma * norm_z - norm_dz - tolerance
-    chain_deficit = gamma * norm_z**2 - inner - tolerance
-    deficits = np.concatenate([expansive_deficit, chain_deficit])
-    report = pairwise_report(name, deficits, xs, ys, seed=seed)
-    return report, gamma
+        ), gamma
+
+    def deficits(z, dz):
+        norm_z = np.linalg.norm(z, axis=1)
+        return np.concatenate([
+            gamma * norm_z - np.linalg.norm(dz, axis=1) - tolerance,
+            gamma * norm_z**2 - _rowdot(dz, z) - tolerance,
+        ])
+
+    return _check_pairs(op, name, pairs, seed, deficits), gamma
 
 
 def check_monotone_chain(
@@ -233,17 +211,16 @@ def check_monotone_chain(
     <Ax - Ay, x - y> >= -m|Ax - Ay|^2 + v|x - y|^2 and <Ax - Ay, x - y> >= 0."""
     if m < 0.0:
         raise ValidationError("cocoercivity constant m must be nonnegative")
-    xs, ys = _pair_arrays(op, pairs)
-    z = xs - ys
-    dz = z @ op.matrix.T
-    inner = np.einsum("ij,ij->i", dz, z)
-    cocoercive_deficit = (
-        -m * np.einsum("ij,ij->i", dz, dz) + v * np.einsum("ij,ij->i", z, z) - inner - tolerance
-    )
-    monotone_deficit = -inner - tolerance
-    deficits = np.concatenate([cocoercive_deficit, monotone_deficit])
+
+    def deficits(z, dz):
+        inner = _rowdot(dz, z)
+        return np.concatenate([
+            -m * _rowdot(dz, dz) + v * _rowdot(z, z) - inner - tolerance,
+            -inner - tolerance,
+        ])
+
     name = f"monotone_chain(m={m:g},v={v:g},eps={eps:g})"
-    return pairwise_report(name, deficits, xs, ys, seed=seed)
+    return _check_pairs(op, name, pairs, seed, deficits)
 
 
 __all__ = [

@@ -31,10 +31,11 @@ def golden_oracle():
     for name in GOLDEN_NAMES:
         scenario = load_golden(name)
         grid = scenario.make_grid()
+        solutions = brute_force_vi(scenario.operator, grid)
         cache[name] = {
             "scenario": scenario,
             "grid": grid,
-            "solutions": brute_force_vi(scenario.operator, grid),
-            "singleton": check_singleton_vi(scenario.operator, grid),
+            "solutions": solutions,
+            "singleton": check_singleton_vi(solutions, grid),
         }
     return cache

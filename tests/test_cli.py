@@ -1,12 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from vikit import cli
+from vikit import cli, verification
 from vikit.errors import DivergenceError
 
 BASE_SCENARIO = {
@@ -153,6 +154,63 @@ class TestRunScenario:
         np.testing.assert_allclose(payload["tasks"]["brute_force"]["solutions"][0],
                                    [1.0, 0.0], atol=1e-12)
 
+    def test_golden_box_runs_grid_oracle_once(self, tmp_path, monkeypatch):
+        calls = []
+        oracle = cli.brute_force_vi
+
+        def counting_oracle(*args, **kwargs):
+            calls.append(1)
+            return oracle(*args, **kwargs)
+
+        # patched where the CLI and the verification module look it up
+        monkeypatch.setattr(cli, "brute_force_vi", counting_oracle)
+        monkeypatch.setattr(verification, "brute_force_vi", counting_oracle)
+        doc = json.loads(cli.golden_path("box_diag").read_text())
+        assert {"verify_lemma31", "brute_force"} <= set(doc["tasks"])
+        assert cli.run_scenario(cli.golden_path("box_diag"), tmp_path) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["../evil", "a/b", "", ".", ".."])
+    def test_name_must_be_plain_stem(self, tmp_path, name):
+        doc_path = tmp_path / "scenario.json"
+        doc_path.write_text(json.dumps(dict(BASE_SCENARIO, name=name)))
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 3
+        assert sorted(p.name for p in tmp_path.rglob("*.reports.json")) == [
+            "scenario.reports.json"
+        ]
+        payload = read_reports(out_dir, "scenario")
+        assert payload["exit_status"] == 3
+        assert "plain file stem" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"config": dict(BASE_SCENARIO["config"], **{"lambda": "abc"})},
+            {"config": dict(BASE_SCENARIO["config"], **{"lambda": None})},
+            {"x0": "abc"},
+            {"tasks": 5},
+            {"grid": {"h": "x"}, "tasks": ["brute_force"]},
+            {"moduli": {"m": "x", "v": 1.0, "eps": 2.0}, "tasks": ["verify_lemma22"]},
+            None,
+        ],
+        ids=["lambda-str", "lambda-null", "x0-str", "tasks-int", "grid-h-str", "moduli-m-str",
+             "list-doc"],
+    )
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_mistyped_fields_exit_3_with_report(self, tmp_path, changes, seed):
+        if changes is None:
+            doc_path = tmp_path / "mistyped.json"
+            doc_path.write_text(json.dumps([BASE_SCENARIO]))
+        else:
+            doc_path = write_scenario(tmp_path, name="mistyped", **changes)
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir, seed=seed) == 3
+        assert sorted(p.name for p in out_dir.iterdir()) == ["mistyped.reports.json"]
+        payload = read_reports(out_dir, "mistyped")
+        assert payload["exit_status"] == 3
+        assert payload["error"]
+
 
 class TestListGolden:
     def test_bundled_names_present(self):
@@ -184,10 +242,12 @@ class TestMain:
 
     def test_console_script_installed(self, tmp_path):
         doc_path = write_scenario(tmp_path, name="script")
+        # the child imports vikit from where this test process does
         proc = subprocess.run(
             [sys.executable, "-m", "vikit.cli", "run", str(doc_path), "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "script.reports.json").exists()

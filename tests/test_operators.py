@@ -93,6 +93,21 @@ class TestCertifyModuli:
         assert m.strong_monotonicity == pytest.approx(1.0, abs=1e-12)
         assert m.ism_alpha == pytest.approx(0.5, abs=1e-12)
 
+    def test_computed_once_per_operator(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        op = AffineOperator(matrix=[[2.0, 0.0], [0.0, 1.0]], offset=[-2.0, 1.0])
+        first = certify_moduli(op)
+        assert certify_moduli(op) is first
+        assert op.moduli is first
+        assert len(calls) == 1
+
     def test_alpha_absent_without_strong_monotonicity(self):
         indefinite = AffineOperator(matrix=[[1.0, 0.0], [0.0, -1.0]], offset=[0.0, 0.0])
         assert certify_moduli(indefinite).ism_alpha is None

@@ -68,6 +68,8 @@ class TestIterationConfig:
         with pytest.raises(ConfigurationError):
             IterationConfig(step=0.0)
         with pytest.raises(ConfigurationError):
+            IterationConfig(step=None)
+        with pytest.raises(ConfigurationError):
             IterationConfig(step=0.5, max_iters=0)
         with pytest.raises(ConfigurationError):
             IterationConfig(step=0.5, residual_tol=0.0)

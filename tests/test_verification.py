@@ -106,7 +106,8 @@ class TestSingletonCheck:
         assert report.max_violation <= 0.0
 
     def test_zero_operator_fails_with_extreme_witness(self):
-        report = check_singleton_vi(ZERO_OP, BruteForceGrid(set_=UNIT_BOX, h=0.1))
+        grid = BruteForceGrid(set_=UNIT_BOX, h=0.1)
+        report = check_singleton_vi(brute_force_vi(ZERO_OP, grid), grid)
         assert report.status == "Fail"
         wx, wy = report.witness
         assert np.linalg.norm(wx - wy) == pytest.approx(np.sqrt(2.0), abs=1e-12)
@@ -114,15 +115,17 @@ class TestSingletonCheck:
     def test_one_dimensional_instance(self):
         line = Box(lower=[0.0], upper=[1.0])
         op = AffineOperator(matrix=[[1.0]], offset=[-0.3])
-        report = check_singleton_vi(op, BruteForceGrid(set_=line, h=1e-3))
+        grid = BruteForceGrid(set_=line, h=1e-3)
+        sols = brute_force_vi(op, grid)
+        report = check_singleton_vi(sols, grid)
         assert report.status == "Pass"
-        sols = brute_force_vi(op, BruteForceGrid(set_=line, h=1e-3))
         assert np.all(np.abs(sols - 0.3) <= 1e-3)
 
     def test_empty_solution_set_reported(self):
         # solution sits off-grid; with a tiny tolerance no grid point qualifies
         off_grid = AffineOperator(matrix=np.eye(2), offset=[-0.5005, -0.5005])
-        report = check_singleton_vi(off_grid, BruteForceGrid(set_=UNIT_BOX, h=0.01))
+        grid = BruteForceGrid(set_=UNIT_BOX, h=0.01)
+        report = check_singleton_vi(brute_force_vi(off_grid, grid), grid)
         assert report.status == "Fail"
         assert report.witness is None
         assert report.note == "VI(C,A) empty at this resolution"
