@@ -18,7 +18,6 @@ from .geometry import (
     Simplex,
     contains,
     project,
-    set_from_json,
 )
 from .operators import (
     AffineOperator,
@@ -41,7 +40,6 @@ from .solvers import (
     NonexpansiveMap,
     ProjectionOnto,
     compare_stopping,
-    map_from_json,
     shortcut_distance_bound,
     solve_halpern,
     solve_projected_gradient,

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, ValidationError
-from .geometry import Box, ConvexSet, Simplex, set_from_json
+from .errors import ConfigurationError, DimensionMismatchError, DivergenceError, ValidationError
+from .geometry import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex
 from .operators import (
     AffineOperator,
     certify_moduli,
@@ -34,11 +34,16 @@ from .operators import (
 from .reports import PASS, PRECONDITION_VIOLATED, VerificationReport
 from .solvers import (
     DEFAULT_COMPARISON_DELTA,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_RESIDUAL_TOL,
+    AffineAverage,
+    AnchorSchedule,
+    Identity,
     IterationConfig,
     IterationTrace,
     NonexpansiveMap,
+    ProjectionOnto,
     compare_stopping,
-    map_from_json,
     solve_halpern,
     solve_projected_gradient,
 )
@@ -66,10 +71,25 @@ TASKS = (
 
 SOLVER_TASKS = ("solve_pg", "solve_halpern", "compare_stopping")
 
+# Set type in the scenario JSON -> the class and its JSON fields, in argument order.
+_SET_TYPES = {
+    "box": (Box, ("lower", "upper")),
+    "ball": (Ball, ("center", "radius")),
+    "halfspace": (Halfspace, ("normal", "offset")),
+    "simplex": (Simplex, ("dim",)),
+    "affine": (AffineSubspace, ("basepoint", "orthonormal_basis")),
+}
+_SCHEDULE_KEYS = ("rule", "scale", "exponent", "ratio")
 
-@dataclass
+
+@dataclass(frozen=True)
 class Scenario:
-    """A batch job: one operator/set instance plus the tasks to run on it."""
+    """A batch job: one operator/set instance plus the tasks to run on it.
+
+    Construction checks each field's dimension, finiteness and range against
+    the operator and the tasks, so a malformed scenario fails before its first
+    task writes any output.
+    """
 
     name: str
     operator: AffineOperator
@@ -77,77 +97,143 @@ class Scenario:
     config: IterationConfig
     x0: np.ndarray
     tasks: tuple[str, ...]
-    map_s: NonexpansiveMap | None = None
+    seed: int = 0
+    map_s: NonexpansiveMap = Identity()
     x_star: np.ndarray | None = None
     anchor: np.ndarray | None = None
-    moduli: dict | None = None
-    grid: dict | None = None
+    moduli: tuple[float, float, float] | None = None
+    grid: BruteForceGrid | None = None
     delta: float = DEFAULT_COMPARISON_DELTA
     description: str = ""
 
+    def __post_init__(self):
+        if not _is_plain_stem(self.name):
+            raise ValidationError(f"scenario name {self.name!r} is not a plain file stem")
+        for task in self.tasks:
+            if task not in TASKS:
+                raise ValidationError(f"unknown task '{task}'")
+        if "compare_stopping" in self.tasks:
+            if self.x_star is None:
+                raise ValidationError("task 'compare_stopping' requires field 'x_star'")
+            if not (np.isfinite(self.delta) and self.delta > 0.0):
+                raise ValidationError("comparison target delta must be positive")
+        if "brute_force" in self.tasks and self.grid is None:
+            raise ValidationError("task 'brute_force' requires field 'grid'")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
+        if self.moduli is not None:
+            m, v, eps = self.moduli
+            if not (np.all(np.isfinite(self.moduli)) and m >= 0.0 and v > 0.0 and eps > 0.0):
+                raise ValidationError("moduli need finite m >= 0, v > 0 and eps > 0")
+        dim = self.operator.dim
+        dims = {"constraint set": self.set_.dim}
+        if isinstance(self.map_s, ProjectionOnto):
+            dims["map_s set"] = self.map_s.set_.dim
+        elif isinstance(self.map_s, AffineAverage):
+            dims["map_s fixed_point"] = self.map_s.fixed_point.size
+        for what, actual in dims.items():
+            if actual != dim:
+                raise DimensionMismatchError(dim, actual, what=what)
+        for what, vector in (("x0", self.x0), ("x_star", self.x_star), ("anchor", self.anchor)):
+            if vector is None:
+                continue
+            if vector.shape != (dim,):
+                raise DimensionMismatchError(dim, vector.size, what=what)
+            if not np.all(np.isfinite(vector)):
+                raise ValidationError(f"{what} has non-finite entries")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
-        """Parse a decoded scenario; a missing or mistyped field raises ValidationError."""
+        """Parse a decoded scenario; a missing, mistyped or inconsistent field
+        raises ValidationError or ConfigurationError."""
         if not isinstance(doc, dict):
             raise ValidationError("scenario must be a JSON object")
-        for key in ("name", "operator", "set", "config", "x0", "tasks"):
-            if key not in doc:
-                raise ValidationError(f"scenario missing field '{key}'")
-        name = str(doc["name"])
-        if not _is_plain_stem(name):
-            raise ValidationError(f"scenario name {name!r} is not a plain file stem")
-
-        def optional_vector(key):
-            return None if doc.get(key) is None else np.asarray(doc[key], dtype=float)
-
         try:
-            tasks = tuple(doc["tasks"])
-            for task in tasks:
-                if task not in TASKS:
-                    raise ValidationError(f"unknown task '{task}'")
-            scenario = cls(
-                name=name,
-                operator=AffineOperator.from_json(doc["operator"]),
-                set_=set_from_json(doc["set"]),
-                config=IterationConfig.from_json(doc["config"]),
-                x0=np.asarray(doc["x0"], dtype=float),
+            tasks = tuple(_field(doc, "tasks", "scenario"))
+            operator = _field(doc, "operator", "scenario")
+            set_ = _set(_field(doc, "set", "scenario"))
+            config = _field(doc, "config", "scenario")
+            schedule = config.get("anchor_schedule")
+            moduli = doc.get("moduli")
+            return cls(
+                name=str(_field(doc, "name", "scenario")),
+                operator=AffineOperator(
+                    matrix=_field(operator, "matrix", "operator spec"),
+                    offset=_field(operator, "offset", "operator spec"),
+                ),
+                set_=set_,
+                config=IterationConfig(
+                    step=float(_field(config, "lambda", "config")),
+                    anchor_schedule=AnchorSchedule() if schedule is None else AnchorSchedule(
+                        **{k: v for k, v in schedule.items() if k in _SCHEDULE_KEYS}),
+                    max_iters=int(config.get("max_iters", DEFAULT_MAX_ITERS)),
+                    residual_tol=float(config.get("tol", DEFAULT_RESIDUAL_TOL)),
+                ),
+                x0=np.asarray(_field(doc, "x0", "scenario"), dtype=float),
                 tasks=tasks,
-                map_s=map_from_json(doc.get("map_s")),
-                x_star=optional_vector("x_star"),
-                anchor=optional_vector("anchor"),
-                moduli=_numeric_fields(doc.get("moduli"), ("m", "v", "eps")),
-                grid=_numeric_fields(doc.get("grid"), ("h", "vi_tolerance")),
+                seed=int(config.get("seed", 0)),
+                map_s=_map(doc.get("map_s")),
+                x_star=_vector(doc.get("x_star")),
+                anchor=_vector(doc.get("anchor")),
+                moduli=None if moduli is None else tuple(
+                    float(_field(moduli, key, "moduli spec")) for key in ("m", "v", "eps")),
+                grid=_grid(doc.get("grid"), set_, tasks),
                 delta=float(doc.get("delta", DEFAULT_COMPARISON_DELTA)),
                 description=str(doc.get("description", "")),
             )
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"mistyped scenario field: {exc}") from exc
-        if "compare_stopping" in tasks and scenario.x_star is None:
-            raise ValidationError("task 'compare_stopping' requires field 'x_star'")
-        if "brute_force" in tasks and scenario.grid is None:
-            raise ValidationError("task 'brute_force' requires field 'grid'")
-        return scenario
 
-    def make_grid(self) -> BruteForceGrid:
-        if self.grid is None or "h" not in self.grid:
-            raise ValidationError("grid spec requires field 'h'")
-        return BruteForceGrid(
-            set_=self.set_,
-            h=float(self.grid["h"]),
-            vi_tolerance=float(self.grid.get("vi_tolerance", 1e-9)),
-        )
+
+def _field(doc, key: str, where: str):
+    """``doc[key]``; a missing key raises ValidationError naming ``where``."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValidationError(f"{where} missing field '{key}'") from None
+
+
+def _vector(value) -> np.ndarray | None:
+    return None if value is None else np.asarray(value, dtype=float)
+
+
+def _set(doc) -> ConvexSet:
+    kind = _field(doc, "type", "set spec")
+    if kind not in _SET_TYPES:
+        raise ValidationError(f"unknown set type '{kind}'")
+    make, keys = _SET_TYPES[kind]
+    return make(*(_field(doc, key, f"set spec of type '{kind}'") for key in keys))
+
+
+def _grid(doc, set_: ConvexSet, tasks) -> BruteForceGrid | None:
+    """The oracle's grid, built only for a task that runs the oracle:
+    brute_force, or verify_lemma31 on a set the oracle supports."""
+    if doc is None or not ("brute_force" in tasks or (
+            "verify_lemma31" in tasks and isinstance(set_, (Box, Simplex)))):
+        return None
+    return BruteForceGrid(
+        set_=set_,
+        h=float(_field(doc, "h", "grid spec")),
+        vi_tolerance=float(doc.get("vi_tolerance", 1e-9)),
+    )
+
+
+def _map(doc) -> NonexpansiveMap:
+    kind = "identity" if doc is None else doc.get("type")
+    if kind == "identity":
+        return Identity()
+    if kind == "projection":
+        return ProjectionOnto(_set(_field(doc, "set", "projection map spec")))
+    if kind == "affine_average":
+        where = "affine_average map spec"
+        return AffineAverage(t=float(_field(doc, "t", where)),
+                             fixed_point=_field(doc, "fixed_point", where))
+    raise ValidationError(f"unknown nonexpansive map type '{kind}'")
 
 
 def _is_plain_stem(name: str) -> bool:
     """True iff output files named after ``name`` stay inside the output directory."""
     return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
-
-
-def _numeric_fields(spec: dict | None, keys) -> dict | None:
-    """A copy of an optional sub-object with its fields ``keys`` as floats."""
-    if spec is None:
-        return None
-    return {**spec, **{key: float(spec[key]) for key in keys if key in spec}}
 
 
 def _fmt(value: float) -> str:
@@ -186,62 +272,55 @@ def write_trace_csv(path: Path, trace: IterationTrace, x_star=None) -> None:
     _atomic_write(path, buffer.getvalue())
 
 
-def _trace_record(trace: IterationTrace, csv_name: str) -> dict:
-    return {
-        "status": trace.status,
-        "iterations": int(trace.rows - 1),
-        "final": [float(v) for v in trace.final],
-        "final_residual": float(trace.natural_residuals[-1]),
-        "trace_csv": csv_name,
-    }
-
-
-def _default_moduli(op: AffineOperator, supplied: dict | None) -> tuple[float, float, float]:
-    if supplied is not None:
-        try:
-            return float(supplied["m"]), float(supplied["v"]), float(supplied["eps"])
-        except KeyError as exc:
-            raise ValidationError(f"moduli spec missing field {exc}") from exc
+def _default_moduli(op: AffineOperator) -> tuple[float, float, float]:
     certified = certify_moduli(op)
     return 0.0, certified.strong_monotonicity, certified.lipschitz
 
 
-def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[VerificationReport]]:
+def _solve(scenario: Scenario, task: str) -> tuple[IterationTrace, dict]:
+    """Run one of SOLVER_TASKS: its trace and the fields of its record."""
     op, set_, cfg = scenario.operator, scenario.set_, scenario.config
+    if task == "compare_stopping":
+        record = compare_stopping(op, set_, cfg, scenario.x0, scenario.x_star, scenario.delta)
+        return record.trace, {
+            "delta": record.delta,
+            "shortcut_iteration": record.shortcut_iteration,
+            "natural_iteration": record.natural_iteration,
+        }
+    if task == "solve_pg":
+        trace = solve_projected_gradient(op, set_, cfg, scenario.x0, x_ref=scenario.x_star)
+    else:
+        trace = solve_halpern(op, set_, scenario.map_s, cfg, scenario.x0,
+                              anchor=scenario.anchor, x_ref=scenario.x_star)
+    return trace, {
+        "status": trace.status,
+        "iterations": int(trace.rows - 1),
+        "final": [float(v) for v in trace.final],
+        "final_residual": float(trace.natural_residuals[-1]),
+    }
+
+
+def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[VerificationReport]]:
+    op, seed = scenario.operator, scenario.seed
     records: dict = {}
     reports: list[VerificationReport] = []
 
     @functools.cache
-    def oracle() -> tuple[BruteForceGrid, np.ndarray]:
-        """The scenario's grid and its VI solution set, computed on first use."""
-        grid = scenario.make_grid()
-        return grid, brute_force_vi(op, grid)
+    def oracle() -> np.ndarray:
+        """The VI solution set on the scenario's grid, computed on first use."""
+        return brute_force_vi(op, scenario.grid)
 
     for task in scenario.tasks:
-        if task == "solve_pg":
-            trace = solve_projected_gradient(op, set_, cfg, scenario.x0, x_ref=scenario.x_star)
-            csv_name = f"{scenario.name}.solve_pg.trace.csv"
+        if task in SOLVER_TASKS:
+            trace, fields = _solve(scenario, task)
+            csv_name = f"{scenario.name}.{task}.trace.csv"
             write_trace_csv(out_dir / csv_name, trace, x_star=scenario.x_star)
-            records[task] = _trace_record(trace, csv_name)
-
-        elif task == "solve_halpern":
-            trace = solve_halpern(
-                op,
-                set_,
-                scenario.map_s,
-                cfg,
-                scenario.x0,
-                anchor=scenario.anchor,
-                x_ref=scenario.x_star,
-            )
-            csv_name = f"{scenario.name}.solve_halpern.trace.csv"
-            write_trace_csv(out_dir / csv_name, trace, x_star=scenario.x_star)
-            records[task] = _trace_record(trace, csv_name)
+            records[task] = {**fields, "trace_csv": csv_name}
 
         elif task == "verify_lemma22":
-            m, v, eps = _default_moduli(op, scenario.moduli)
-            pairs = sample_pairs(op.dim, seed=cfg.seed)
-            report, gamma = lemma_cocoercive_expansive(op, m, v, eps, pairs, seed=cfg.seed)
+            m, v, eps = scenario.moduli or _default_moduli(op)
+            pairs = sample_pairs(op.dim, seed=seed)
+            report, gamma = lemma_cocoercive_expansive(op, m, v, eps, pairs, seed=seed)
             reports.append(report)
             records[task] = {"gamma": gamma, "report": report.as_dict()}
 
@@ -254,37 +333,25 @@ def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[Verificati
                     witness=None,
                     samples_used=0,
                     max_violation=0.0,
-                    seed=cfg.seed,
+                    seed=seed,
                     note="operator lacks a certified ism modulus or is not expansive",
                 )]
             else:
-                pairs = sample_pairs(op.dim, seed=cfg.seed)
+                pairs = sample_pairs(op.dim, seed=seed)
                 task_reports = [
-                    check_ism(op, certified.ism_alpha, pairs, seed=cfg.seed),
-                    check_expansive(op, certified.expansiveness, pairs, seed=cfg.seed),
+                    check_ism(op, certified.ism_alpha, pairs, seed=seed),
+                    check_expansive(op, certified.expansiveness, pairs, seed=seed),
                 ]
-                if isinstance(set_, (Box, Simplex)) and scenario.grid is not None:
-                    grid, solutions = oracle()
-                    task_reports.append(check_singleton_vi(solutions, grid, seed=cfg.seed))
+                if scenario.grid is not None:
+                    task_reports.append(check_singleton_vi(oracle(), scenario.grid, seed=seed))
             reports.extend(task_reports)
             records[task] = {"reports": [r.as_dict() for r in task_reports]}
 
         elif task == "brute_force":
-            solutions = oracle()[1]
+            solutions = oracle()
             records[task] = {
                 "solutions": [[float(v) for v in row] for row in solutions],
                 "count": int(solutions.shape[0]),
-            }
-
-        elif task == "compare_stopping":
-            record = compare_stopping(op, set_, cfg, scenario.x0, scenario.x_star, scenario.delta)
-            csv_name = f"{scenario.name}.compare_stopping.trace.csv"
-            write_trace_csv(out_dir / csv_name, record.trace, x_star=scenario.x_star)
-            records[task] = {
-                "delta": record.delta,
-                "shortcut_iteration": record.shortcut_iteration,
-                "natural_iteration": record.natural_iteration,
-                "trace_csv": csv_name,
             }
 
     return records, reports
@@ -319,9 +386,10 @@ def run_scenario(
     try:
         scenario = Scenario.from_dict(doc)
         name = scenario.name
-        scenario.config = replace(
-            scenario.config, **{k: v for k, v in overrides.items() if v is not None}
-        )
+        if seed is not None:
+            scenario = replace(scenario, seed=seed)
+        if max_iters is not None:
+            scenario = replace(scenario, config=replace(scenario.config, max_iters=max_iters))
         records, reports = _run_tasks(scenario, out_dir)
     except DivergenceError as exc:
         error = str(exc)

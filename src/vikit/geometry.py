@@ -199,30 +199,6 @@ def contains(set_: ConvexSet, x, tol: float = 0.0) -> bool:
     return float(np.linalg.norm(x - set_.project(x))) <= tol
 
 
-def set_from_json(doc: dict) -> ConvexSet:
-    """Build a set from its JSON spec: {"type": ..., variant fields}."""
-    try:
-        kind = doc["type"]
-    except KeyError as exc:
-        raise ValidationError("set spec missing field 'type'") from exc
-    try:
-        if kind == "box":
-            return Box(lower=doc["lower"], upper=doc["upper"])
-        if kind == "ball":
-            return Ball(center=doc["center"], radius=doc["radius"])
-        if kind == "halfspace":
-            return Halfspace(normal=doc["normal"], offset=doc["offset"])
-        if kind == "simplex":
-            return Simplex(n=doc["dim"])
-        if kind == "affine":
-            return AffineSubspace(
-                basepoint=doc["basepoint"], orthonormal_basis=doc["orthonormal_basis"]
-            )
-    except KeyError as exc:
-        raise ValidationError(f"set spec of type '{kind}' missing field {exc}") from exc
-    raise ValidationError(f"unknown set type '{kind}'")
-
-
 __all__ = [
     "ConvexSet",
     "Box",
@@ -232,5 +208,4 @@ __all__ = [
     "AffineSubspace",
     "project",
     "contains",
-    "set_from_json",
 ]

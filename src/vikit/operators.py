@@ -65,14 +65,20 @@ class AffineOperator:
         strong_monotonicity = lambda_min((M + M^T)/2).  The cocoercive pair
         defaults to (0, v): a v-strongly monotone map is relaxed (u, v)-cocoercive
         for any u >= 0, the slack term only weakens the bound.  Caching is sound
-        because the matrix is read-only.
+        because the matrix is read-only.  Raises ValidationError when
+        v > 0 and the sigma_max(M)^2 in alpha overflows a float.
         """
         singular = np.linalg.svd(self.matrix, compute_uv=False)
         eps = float(singular[0])
         gamma = float(singular[-1])
         sym = 0.5 * (self.matrix + self.matrix.T)
         v = float(np.linalg.eigvalsh(sym)[0])
-        alpha = v / eps**2 if v > 0.0 else None
+        try:
+            alpha = v / eps**2 if v > 0.0 else None
+        except OverflowError:
+            raise ValidationError(
+                f"sigma_max(M) = {eps:g} is out of range: alpha = v / sigma_max^2 overflows"
+            ) from None
         return OperatorModuli(
             lipschitz=eps,
             strong_monotonicity=v,
@@ -80,14 +86,6 @@ class AffineOperator:
             expansiveness=gamma,
             cocoercive_pair=(0.0, v),
         )
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "AffineOperator":
-        """Build from {"matrix": [[...]], "offset": [...]}."""
-        try:
-            return cls(matrix=doc["matrix"], offset=doc["offset"])
-        except KeyError as exc:
-            raise ValidationError(f"operator spec missing field {exc}") from exc
 
 
 @dataclass(frozen=True)

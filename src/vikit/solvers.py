@@ -18,7 +18,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, DivergenceError, ValidationError
-from .geometry import ConvexSet, project, set_from_json
+from .geometry import ConvexSet, project
 from .operators import AffineOperator, certify_moduli, evaluate
 
 CONVERGED = "Converged"
@@ -59,13 +59,6 @@ class AnchorSchedule:
             return self.scale / (n + 1) ** self.exponent
         return self.scale * self.ratio**n
 
-    @classmethod
-    def from_json(cls, doc: dict | None) -> "AnchorSchedule":
-        if doc is None:
-            return cls()
-        params = {k: v for k, v in doc.items() if k in ("rule", "scale", "exponent", "ratio")}
-        return cls(**params)
-
 
 @dataclass(frozen=True)
 class IterationConfig:
@@ -79,7 +72,6 @@ class IterationConfig:
     anchor_schedule: AnchorSchedule = field(default_factory=AnchorSchedule)
     max_iters: int = DEFAULT_MAX_ITERS
     residual_tol: float = DEFAULT_RESIDUAL_TOL
-    seed: int = 0
 
     def __post_init__(self):
         if not (isinstance(self.step, Real) and np.isfinite(self.step) and self.step > 0.0):
@@ -88,20 +80,6 @@ class IterationConfig:
             raise ConfigurationError("max_iters must be >= 1")
         if not (np.isfinite(self.residual_tol) and self.residual_tol > 0.0):
             raise ConfigurationError("residual_tol must be positive")
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "IterationConfig":
-        try:
-            step = doc["lambda"]
-        except KeyError as exc:
-            raise ValidationError("config missing field 'lambda'") from exc
-        return cls(
-            step=float(step),
-            anchor_schedule=AnchorSchedule.from_json(doc.get("anchor_schedule")),
-            max_iters=int(doc.get("max_iters", DEFAULT_MAX_ITERS)),
-            residual_tol=float(doc.get("tol", DEFAULT_RESIDUAL_TOL)),
-            seed=int(doc.get("seed", 0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -181,26 +159,6 @@ class AffineAverage(NonexpansiveMap):
 
     def apply(self, x):
         return (1.0 - self.t) * np.asarray(x, dtype=float) + self.t * self.fixed_point
-
-
-def map_from_json(doc: dict | None) -> NonexpansiveMap:
-    """Build a nonexpansive map from {"type": "identity"|"projection"|"affine_average", ...}."""
-    if doc is None:
-        return Identity()
-    kind = doc.get("type")
-    if kind == "identity":
-        return Identity()
-    if kind == "projection":
-        try:
-            return ProjectionOnto(set_from_json(doc["set"]))
-        except KeyError as exc:
-            raise ValidationError(f"projection map spec missing field {exc}") from exc
-    if kind == "affine_average":
-        try:
-            return AffineAverage(t=float(doc["t"]), fixed_point=doc["fixed_point"])
-        except KeyError as exc:
-            raise ValidationError(f"affine_average map spec missing field {exc}") from exc
-    raise ValidationError(f"unknown nonexpansive map type '{kind}'")
 
 
 def shortcut_distance_bound(gamma: float, operator_residual: float) -> float:
@@ -378,7 +336,6 @@ __all__ = [
     "Identity",
     "ProjectionOnto",
     "AffineAverage",
-    "map_from_json",
     "solve_projected_gradient",
     "solve_halpern",
     "shortcut_distance_bound",

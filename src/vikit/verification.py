@@ -40,6 +40,8 @@ class BruteForceGrid:
             raise ValidationError("grid spacing must be positive")
         if not (np.isfinite(self.vi_tolerance) and self.vi_tolerance > 0.0):
             raise ValidationError("vi_tolerance must be positive")
+        if self.set_.dim > GRID_DIM_GUARD:
+            raise ValidationError(f"grid oracle limited to dimension <= {GRID_DIM_GUARD}")
         if self.count() > GRID_POINT_GUARD:
             raise ValidationError(
                 f"grid would hold {self.count()} points, over the {GRID_POINT_GUARD} guard"
@@ -93,8 +95,6 @@ def brute_force_vi(op: AffineOperator, grid: BruteForceGrid) -> np.ndarray:
 
     Returns an (k, n) array in lexicographic row order.
     """
-    if grid.set_.dim > GRID_DIM_GUARD:
-        raise ValidationError(f"grid oracle limited to dimension <= {GRID_DIM_GUARD}")
     if grid.set_.dim != op.dim:
         raise ValidationError("grid set dimension does not match the operator")
     pts = grid.points()
@@ -175,7 +175,8 @@ def lemma_cocoercive_expansive(
         raise ValidationError("cocoercivity constant m must be nonnegative")
     if v <= 0.0 or eps <= 0.0:
         raise ValidationError("constants v and eps must be positive")
-    gamma = v - m * eps**2
+    # Float products, not eps**2: a huge eps gives gamma = -inf, not OverflowError.
+    gamma = v - m * eps * eps
     name = f"cocoercive_expansive(m={m:g},v={v:g},eps={eps:g})"
     if gamma <= 0.0:
         return VerificationReport(

@@ -30,7 +30,7 @@ def golden_oracle():
     cache = {}
     for name in GOLDEN_NAMES:
         scenario = load_golden(name)
-        grid = scenario.make_grid()
+        grid = scenario.grid
         solutions = brute_force_vi(scenario.operator, grid)
         cache[name] = {
             "scenario": scenario,

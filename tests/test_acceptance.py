@@ -61,7 +61,7 @@ def test_criterion_2_singleton_certification():
         scenario = load_golden(name)
         assert certify_moduli(scenario.operator).expansiveness > 0.0
         grid = BruteForceGrid(set_=scenario.set_, h=0.01,
-                              vi_tolerance=scenario.grid["vi_tolerance"])
+                              vi_tolerance=scenario.grid.vi_tolerance)
         solutions = brute_force_vi(scenario.operator, grid)
         diam = diameter(solutions) if solutions.shape[0] else np.inf
         details.append(f"{name} diam {diam:.3g}")

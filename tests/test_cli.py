@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from vikit import cli, verification
-from vikit.errors import DivergenceError
+from vikit.errors import DivergenceError, ValidationError
+from vikit.geometry import AffineSubspace, Ball, Box, Halfspace, Simplex
+from vikit.solvers import AffineAverage, Identity, ProjectionOnto
 
 BASE_SCENARIO = {
     "name": "unit",
@@ -39,6 +41,21 @@ def write_scenario(tmp_path, **changes):
 
 def read_reports(out_dir, name):
     return json.loads((out_dir / f"{name}.reports.json").read_text())
+
+
+def parse(**changes):
+    doc = json.loads(json.dumps(BASE_SCENARIO))
+    doc.update(changes)
+    return cli.Scenario.from_dict(doc)
+
+
+SOLVE_BOTH = ["solve_pg", "solve_halpern"]
+CUBE5 = {
+    "operator": {"matrix": np.eye(5).tolist(), "offset": [0.0] * 5},
+    "set": {"type": "box", "lower": [0.0] * 5, "upper": [1.0] * 5},
+    "x0": [0.0] * 5,
+    "x_star": [0.0] * 5,
+}
 
 
 class TestRunScenario:
@@ -193,9 +210,33 @@ class TestRunScenario:
             {"grid": {"h": "x"}, "tasks": ["brute_force"]},
             {"moduli": {"m": "x", "v": 1.0, "eps": 2.0}, "tasks": ["verify_lemma22"]},
             None,
+            # Caught by the parse-time checks; unchecked, each ends in a traceback,
+            # an exit 0, or a trace CSV left in --out beside the report.
+            {"map_s": {"type": "affine_average", "t": 0.5, "fixed_point": [0.0, 0.0, 0.0]},
+             "tasks": SOLVE_BOTH},
+            {"anchor": [0.0, 0.0, 0.0], "tasks": SOLVE_BOTH},
+            {"map_s": {"type": "projection", "set": {"type": "simplex", "dim": 3}},
+             "tasks": SOLVE_BOTH},
+            {"x_star": [1.0, 0.0, 0.0], "tasks": ["verify_lemma22"]},
+            {"set": {"type": "simplex", "dim": 3}, "tasks": ["verify_lemma22"]},
+            {"x0": [float("nan"), 1.0], "tasks": ["verify_lemma22"]},
+            {"grid": {"vi_tolerance": 1e-9}, "tasks": ["solve_pg", "brute_force"]},
+            {"moduli": {"m": 0.0, "v": 1.0}, "tasks": ["solve_pg", "verify_lemma22"]},
+            {"moduli": {"m": -1.0, "v": 1.0, "eps": 2.0}, "tasks": ["solve_pg", "verify_lemma22"]},
+            {"moduli": {"m": float("nan"), "v": 1.0, "eps": 2.0}, "tasks": ["verify_lemma22"]},
+            {"delta": float("nan"), "tasks": ["solve_pg", "compare_stopping"]},
+            {"grid": {"h": 1e-9}, "tasks": ["solve_pg", "verify_lemma31"]},
+            dict(CUBE5, grid={"h": 0.5}, tasks=["solve_pg", "verify_lemma31"]),
+            {"config": dict(BASE_SCENARIO["config"], max_iters=float("inf"))},
+            {"config": dict(BASE_SCENARIO["config"], seed=float("inf"))},
+            {"config": dict(BASE_SCENARIO["config"], seed=-1), "tasks": ["verify_lemma22"]},
+            {"set": {"type": "simplex", "dim": float("inf")}},
         ],
         ids=["lambda-str", "lambda-null", "x0-str", "tasks-int", "grid-h-str", "moduli-m-str",
-             "list-doc"],
+             "list-doc", "fixed-point-3d", "anchor-3d", "projection-3d", "x-star-3d", "set-3d",
+             "x0-nan", "grid-no-h", "moduli-no-eps", "moduli-m-negative", "moduli-nan",
+             "delta-nan", "grid-over-point-guard", "grid-5d", "max-iters-inf", "seed-inf",
+             "seed-negative", "simplex-dim-inf"],
     )
     @pytest.mark.parametrize("seed", [None, 7])
     def test_mistyped_fields_exit_3_with_report(self, tmp_path, changes, seed):
@@ -210,6 +251,92 @@ class TestRunScenario:
         payload = read_reports(out_dir, "mistyped")
         assert payload["exit_status"] == 3
         assert payload["error"]
+
+    def test_overflowing_alpha_exits_3_naming_cause(self, tmp_path):
+        # alpha = v / sigma_max^2 needs sigma_max^2 = 1e400, beyond a float
+        operator = {"matrix": [[1e200, 0.0], [0.0, 1e200]], "offset": [0.0, 0.0]}
+        doc_path = write_scenario(tmp_path, name="huge", operator=operator,
+                                  tasks=["verify_lemma31"])
+        assert cli.run_scenario(doc_path, tmp_path) == 3
+        assert "sigma_max(M) = 1e+200 is out of range" in read_reports(tmp_path, "huge")["error"]
+
+    def test_huge_supplied_eps_is_precondition_violation(self, tmp_path):
+        doc_path = write_scenario(tmp_path, name="hugeeps", tasks=["verify_lemma22"],
+                                  moduli={"m": 1.0, "v": 1.0, "eps": 1e200})
+        assert cli.run_scenario(doc_path, tmp_path) == 3
+        payload = read_reports(tmp_path, "hugeeps")
+        assert payload["reports"][0]["status"] == "PreconditionViolated"
+        assert payload["tasks"]["verify_lemma22"]["gamma"] == -np.inf
+
+    def test_negative_seed_override_exits_3(self, tmp_path):
+        doc_path = write_scenario(tmp_path, name="negseed", tasks=["verify_lemma22"])
+        assert cli.run_scenario(doc_path, tmp_path, seed=-1) == 3
+        assert "seed" in read_reports(tmp_path, "negseed")["error"]
+
+
+class TestScenarioParsing:
+    """The scenario JSON format: key names, variants and defaults."""
+
+    def test_every_set_variant_round_trips(self):
+        docs = [
+            {"type": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+            {"type": "ball", "center": [0.0, 0.0], "radius": 2.0},
+            {"type": "halfspace", "normal": [1.0, 0.0], "offset": 1.0},
+            {"type": "simplex", "dim": 4},
+            {
+                "type": "affine",
+                "basepoint": [0.0, 0.0],
+                "orthonormal_basis": [[1.0, 0.0]],
+            },
+        ]
+        kinds = [Box, Ball, Halfspace, Simplex, AffineSubspace]
+        for doc, kind in zip(docs, kinds):
+            n = 4 if kind is Simplex else 2
+            operator = {"matrix": np.eye(n).tolist(), "offset": [0.0] * n}
+            scenario = parse(set=doc, operator=operator, x0=[0.0] * n, x_star=None)
+            assert isinstance(scenario.set_, kind)
+
+    def test_unknown_set_type_rejected(self):
+        with pytest.raises(ValidationError):
+            parse(set={"type": "polygon"})
+
+    def test_missing_set_fields_named(self):
+        with pytest.raises(ValidationError, match="radius"):
+            parse(set={"type": "ball", "center": [0.0]})
+
+    def test_map_kinds(self):
+        assert isinstance(parse(map_s=None).map_s, Identity)
+        assert isinstance(parse(map_s={"type": "identity"}).map_s, Identity)
+        proj = parse(map_s={"type": "projection", "set": {"type": "simplex", "dim": 2}}).map_s
+        assert isinstance(proj, ProjectionOnto)
+        assert isinstance(proj.set_, Simplex)
+        avg = parse(map_s={"type": "affine_average", "t": 0.5, "fixed_point": [0.0, 0.0]}).map_s
+        assert isinstance(avg, AffineAverage)
+        with pytest.raises(ValidationError):
+            parse(map_s={"type": "reflector"})
+
+    def test_anchor_schedule_keys_and_default(self):
+        config = dict(BASE_SCENARIO["config"], anchor_schedule={"rule": "geometric", "ratio": 0.25})
+        sched = parse(config=config).config.anchor_schedule
+        assert sched.rule == "geometric" and sched.ratio == 0.25
+        config = dict(BASE_SCENARIO["config"], anchor_schedule=None)
+        assert parse(config=config).config.anchor_schedule.rule == "harmonic"
+
+    def test_config_key_names(self):
+        scenario = parse(config={"lambda": 0.4, "max_iters": 50, "tol": 1e-6, "seed": 3})
+        assert scenario.config.step == 0.4
+        assert scenario.config.max_iters == 50
+        assert scenario.config.residual_tol == 1e-6
+        assert scenario.seed == 3
+        with pytest.raises(ValidationError):
+            parse(config={"max_iters": 50})
+
+    def test_operator_field_names(self):
+        op = parse(operator={"matrix": [[2.0, 0.0], [0.0, 1.0]], "offset": [-2.0, 1.0]}).operator
+        np.testing.assert_array_equal(op.matrix, [[2.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(op.offset, [-2.0, 1.0])
+        with pytest.raises(ValidationError):
+            parse(operator={"matrix": [[1.0]]})
 
 
 class TestListGolden:

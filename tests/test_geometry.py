@@ -12,7 +12,6 @@ from vikit.geometry import (
     Simplex,
     contains,
     project,
-    set_from_json,
 )
 
 from oracles import sample_in_set
@@ -169,28 +168,3 @@ def test_projection_contracts_hypothesis(x, y):
         assert np.linalg.norm(project(set_, px) - px) <= 1e-12
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
-
-class TestJsonIngestion:
-    def test_every_variant_round_trips(self):
-        docs = [
-            {"type": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
-            {"type": "ball", "center": [0.0, 0.0], "radius": 2.0},
-            {"type": "halfspace", "normal": [1.0, 0.0], "offset": 1.0},
-            {"type": "simplex", "dim": 4},
-            {
-                "type": "affine",
-                "basepoint": [0.0, 0.0],
-                "orthonormal_basis": [[1.0, 0.0]],
-            },
-        ]
-        kinds = [Box, Ball, Halfspace, Simplex, AffineSubspace]
-        for doc, kind in zip(docs, kinds):
-            assert isinstance(set_from_json(doc), kind)
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValidationError):
-            set_from_json({"type": "polygon"})
-
-    def test_missing_fields_named(self):
-        with pytest.raises(ValidationError, match="radius"):
-            set_from_json({"type": "ball", "center": [0.0]})

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vikit.errors import ConfigurationError, DivergenceError, ValidationError
-from vikit.geometry import Ball, Box, Simplex, contains
+from vikit.geometry import Ball, Box, contains
 from vikit.operators import AffineOperator, certify_moduli, evaluate
 from vikit.solvers import (
     AffineAverage,
@@ -14,7 +14,6 @@ from vikit.solvers import (
     IterationConfig,
     ProjectionOnto,
     compare_stopping,
-    map_from_json,
     shortcut_distance_bound,
     solve_halpern,
     solve_projected_gradient,
@@ -52,11 +51,6 @@ class TestAnchorSchedule:
         with pytest.raises(ConfigurationError):
             AnchorSchedule(rule="geometric", ratio=1.0)
 
-    def test_from_json(self):
-        sched = AnchorSchedule.from_json({"rule": "geometric", "ratio": 0.25})
-        assert sched.rule == "geometric" and sched.ratio == 0.25
-        assert AnchorSchedule.from_json(None).rule == "harmonic"
-
 
 class TestIterationConfig:
     def test_defaults(self):
@@ -73,17 +67,6 @@ class TestIterationConfig:
             IterationConfig(step=0.5, max_iters=0)
         with pytest.raises(ConfigurationError):
             IterationConfig(step=0.5, residual_tol=0.0)
-
-    def test_from_json_key_names(self):
-        cfg = IterationConfig.from_json(
-            {"lambda": 0.4, "max_iters": 50, "tol": 1e-6, "seed": 3}
-        )
-        assert cfg.step == 0.4
-        assert cfg.max_iters == 50
-        assert cfg.residual_tol == 1e-6
-        assert cfg.seed == 3
-        with pytest.raises(ValidationError):
-            IterationConfig.from_json({"max_iters": 50})
 
 
 class TestProjectedGradient:
@@ -271,17 +254,6 @@ class TestNonexpansiveMaps:
     def test_affine_average_validation(self):
         with pytest.raises(ValidationError):
             AffineAverage(t=1.5, fixed_point=np.zeros(2))
-
-    def test_map_from_json(self):
-        assert isinstance(map_from_json(None), Identity)
-        assert isinstance(map_from_json({"type": "identity"}), Identity)
-        proj = map_from_json({"type": "projection", "set": {"type": "simplex", "dim": 2}})
-        assert isinstance(proj, ProjectionOnto)
-        assert isinstance(proj.set_, Simplex)
-        avg = map_from_json({"type": "affine_average", "t": 0.5, "fixed_point": [0.0, 0.0]})
-        assert isinstance(avg, AffineAverage)
-        with pytest.raises(ValidationError):
-            map_from_json({"type": "reflector"})
 
 
 class TestShortcutBound:

@@ -1,20 +1,27 @@
-"""The benchmark tracer wraps vikit functions by module attribute name; a
-renamed or dropped import would break traced runs, so every name it lists must
-resolve."""
+"""The benchmark tracer wraps vikit functions by module attribute name and
+reads fields of their results; a renamed or dropped import, or a changed trace
+type, would break traced runs, so every name it lists must resolve and its
+annotations must read a real trace."""
 
 import importlib
-import importlib.util
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from vikit.geometry import Box
+from vikit.operators import AffineOperator
+from vikit.solvers import IterationConfig, solve_projected_gradient
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def _tracing_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    """Execute the tracer's source without writing bytecode beside it."""
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
     return module
 
 
@@ -28,3 +35,12 @@ def _listed_names():
 def test_traced_attribute_resolves(module_name, attr):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attr))
+
+
+def test_trace_bytes_reads_a_real_trace():
+    op = AffineOperator(matrix=np.eye(2), offset=[-0.5, -0.5])
+    box = Box(lower=[0.0, 0.0], upper=[1.0, 1.0])
+    trace = solve_projected_gradient(op, box, IterationConfig(step=1.0), [0.0, 0.0],
+                                     x_ref=[0.5, 0.5])
+    # per row: the 2-D iterate, r_n, s_n and bound_n, all float64
+    assert _tracing_module()._trace_bytes(trace) == trace.rows * (2 + 3) * 8

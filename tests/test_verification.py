@@ -56,10 +56,8 @@ class TestGrid:
 
     def test_dimension_guard(self):
         cube4 = Box(lower=np.zeros(4), upper=np.ones(4))
-        grid = BruteForceGrid(set_=cube4, h=0.5)
-        op = AffineOperator(matrix=np.eye(4), offset=np.zeros(4))
         with pytest.raises(ValidationError, match="dimension"):
-            brute_force_vi(op, grid)
+            BruteForceGrid(set_=cube4, h=0.5)
 
     def test_vi_tolerance_positive(self):
         with pytest.raises(ValidationError):
@@ -204,7 +202,7 @@ class TestLemmasEndToEnd:
             sc = golden_oracle[name]["scenario"]
             certified = certify_moduli(sc.operator)
             for m_const in (0.0, 0.25 * certified.strong_monotonicity / certified.lipschitz**2):
-                pairs = sample_pairs(2, count=5000, seed=sc.config.seed)
+                pairs = sample_pairs(2, count=5000, seed=sc.seed)
                 report, gamma = lemma_cocoercive_expansive(
                     sc.operator, m_const, certified.strong_monotonicity,
                     certified.lipschitz, pairs,
@@ -219,7 +217,7 @@ class TestLemmasEndToEnd:
             certified = certify_moduli(sc.operator)
             assert certified.ism_alpha is not None
             assert certified.expansiveness > 0.0
-            pairs = sample_pairs(2, count=5000, seed=sc.config.seed)
+            pairs = sample_pairs(2, count=5000, seed=sc.seed)
             assert check_ism(sc.operator, certified.ism_alpha, pairs).status == "Pass"
             assert golden_oracle[name]["singleton"].status == "Pass"
 
