@@ -175,8 +175,8 @@ def check_ism(
     seed: int | None = None,
 ) -> VerificationReport:
     """Check <Ax - Ay, x - y> >= alpha * |Ax - Ay|^2 on every pair."""
-    if alpha <= 0.0:
-        raise ValidationError("ism modulus alpha must be positive")
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        raise ValidationError("ism modulus alpha must be finite and positive")
     return _check_pairs(
         op, f"ism(alpha={alpha:g})", pairs, seed,
         lambda z, dz: alpha * _rowdot(dz, dz) - _rowdot(dz, z) - tolerance,
@@ -192,10 +192,10 @@ def check_relaxed_cocoercive(
     seed: int | None = None,
 ) -> VerificationReport:
     """Check <Ax - Ay, x - y> >= -u|Ax - Ay|^2 + v|x - y|^2 on every pair."""
-    if v <= 0.0:
-        raise ValidationError("cocoercivity constant v must be positive")
-    if u < 0.0:
-        raise ValidationError("cocoercivity constant u must be nonnegative")
+    if not (np.isfinite(v) and v > 0.0):
+        raise ValidationError("cocoercivity constant v must be finite and positive")
+    if not (np.isfinite(u) and u >= 0.0):
+        raise ValidationError("cocoercivity constant u must be finite and nonnegative")
     return _check_pairs(
         op, f"relaxed_cocoercive(u={u:g},v={v:g})", pairs, seed,
         lambda z, dz: -u * _rowdot(dz, dz) + v * _rowdot(z, z) - _rowdot(dz, z) - tolerance,
@@ -210,8 +210,8 @@ def check_expansive(
     seed: int | None = None,
 ) -> VerificationReport:
     """Check |A x - A y| >= gamma * |x - y| - tolerance on every pair."""
-    if gamma <= 0.0:
-        raise ValidationError("expansiveness modulus gamma must be positive")
+    if not (np.isfinite(gamma) and gamma > 0.0):
+        raise ValidationError("expansiveness modulus gamma must be finite and positive")
     return _check_pairs(
         op, f"expansive(gamma={gamma:g})", pairs, seed,
         lambda z, dz: gamma * np.linalg.norm(z, axis=1) - np.linalg.norm(dz, axis=1) - tolerance,

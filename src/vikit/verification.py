@@ -1,10 +1,11 @@
 """Executable certificates: expansiveness derived from cocoercivity, a
 brute-force grid oracle for VI(C, A), and monotonicity-chain checks.
 
-The grid oracle evaluates the variational inequality literally: a grid point x
-is accepted iff <Ax, y - x> >= -vi_tolerance against every grid point y.  It is
-deliberately independent of the iterative solvers so the two can validate each
-other.
+The grid oracle accepts a grid point x iff <Ax, y - x> >= -vi_tolerance for
+every grid point y.  A linear function attains its minimum over the grid at a
+corner (box) or vertex (simplex) node, so only those nodes are scanned; the
+literal all-pairs scan in ``tests/oracles.py`` cross-checks it.  The oracle is
+independent of the iterative solvers so the two can validate each other.
 """
 
 from __future__ import annotations
@@ -60,9 +61,8 @@ class BruteForceGrid:
     def count(self) -> int:
         if isinstance(self.set_, Box):
             return math.prod(steps + 1 for steps in self._axis_steps())
-        k = self._simplex_resolution()
         n = self.set_.dim
-        return math.comb(k + n - 1, n - 1)
+        return math.comb(self._simplex_resolution() + n - 1, n - 1)
 
     def points(self) -> np.ndarray:
         """All grid points, rows in lexicographic order."""
@@ -73,10 +73,8 @@ class BruteForceGrid:
             ]
             mesh = np.meshgrid(*axes, indexing="ij")
             return np.stack([m.ravel() for m in mesh], axis=1)
-        k = self._simplex_resolution()
-        n = self.set_.dim
-        counts = np.array(list(_compositions(k, n)), dtype=float)
-        return counts * self.h
+        counts = list(_compositions(self._simplex_resolution(), self.set_.dim))
+        return np.array(counts, dtype=float) * self.h
 
 
 def _compositions(total: int, parts: int):
@@ -90,6 +88,11 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
+def _extreme_nodes(pts: np.ndarray) -> np.ndarray:
+    """Rows of ``pts`` whose every coordinate is the minimum or maximum of its axis."""
+    return pts[np.all((pts == pts.min(axis=0)) | (pts == pts.max(axis=0)), axis=1)]
+
+
 def brute_force_vi(op: AffineOperator, grid: BruteForceGrid) -> np.ndarray:
     """Grid points x with min over grid y of <Ax, y - x> >= -vi_tolerance.
 
@@ -99,15 +102,8 @@ def brute_force_vi(op: AffineOperator, grid: BruteForceGrid) -> np.ndarray:
         raise ValidationError("grid set dimension does not match the operator")
     pts = grid.points()
     a_vals = pts @ op.matrix.T + op.offset
-    keep = np.zeros(pts.shape[0], dtype=bool)
-    for start in range(0, pts.shape[0], _CHUNK):
-        stop = min(start + _CHUNK, pts.shape[0])
-        block = a_vals[start:stop]
-        # min over all grid y of <Ax, y> minus <Ax, x>, rowwise
-        inner_min = np.min(block @ pts.T, axis=1)
-        own = np.einsum("ij,ij->i", block, pts[start:stop])
-        keep[start:stop] = inner_min - own >= -grid.vi_tolerance
-    return pts[keep]
+    inner_min = np.min(a_vals @ _extreme_nodes(pts).T, axis=1)
+    return pts[inner_min - _rowdot(a_vals, pts) >= -grid.vi_tolerance]
 
 
 def _diameter(points: np.ndarray) -> tuple[float, int, int]:
@@ -171,10 +167,10 @@ def lemma_cocoercive_expansive(
     Cauchy-Schwarz).  Returns (report, gamma); when gamma <= 0 the hypothesis
     fails and the report status is PreconditionViolated.
     """
-    if m < 0.0:
-        raise ValidationError("cocoercivity constant m must be nonnegative")
-    if v <= 0.0 or eps <= 0.0:
-        raise ValidationError("constants v and eps must be positive")
+    if not (np.isfinite(m) and m >= 0.0):
+        raise ValidationError("cocoercivity constant m must be finite and nonnegative")
+    if not (np.isfinite(v) and v > 0.0 and np.isfinite(eps) and eps > 0.0):
+        raise ValidationError("constants v and eps must be finite and positive")
     # Float products, not eps**2: a huge eps gives gamma = -inf, not OverflowError.
     gamma = v - m * eps * eps
     name = f"cocoercive_expansive(m={m:g},v={v:g},eps={eps:g})"
@@ -210,8 +206,10 @@ def check_monotone_chain(
 ) -> VerificationReport:
     """Check the squared-form monotonicity chain on every pair:
     <Ax - Ay, x - y> >= -m|Ax - Ay|^2 + v|x - y|^2 and <Ax - Ay, x - y> >= 0."""
-    if m < 0.0:
-        raise ValidationError("cocoercivity constant m must be nonnegative")
+    if not (np.isfinite(m) and m >= 0.0):
+        raise ValidationError("cocoercivity constant m must be finite and nonnegative")
+    if not (np.isfinite(v) and np.isfinite(eps)):
+        raise ValidationError("constants v and eps must be finite")
 
     def deficits(z, dz):
         inner = _rowdot(dz, z)

@@ -3,8 +3,8 @@
 These deliberately avoid the code paths of the package under test: singular
 values come from power iteration on the Gram matrix or from a dense
 eigendecomposition of M^T M (never np.linalg.svd, which the package uses), and
-VI solutions come from grid search over an objective rather than from the
-package's own oracle.
+VI solutions come from grid search over an objective, or from the literal
+all-pairs grid scan, rather than from the package's own corner-node oracle.
 """
 
 from __future__ import annotations
@@ -88,6 +88,26 @@ def box_quadratic_grid_argmin(matrix, offset, lower, upper, spacing) -> np.ndarr
             best_val = float(vals[idx])
             best = block[idx]
     return best.copy()
+
+
+def literal_vi_gaps(op, grid) -> np.ndarray:
+    """min over every grid point y of <Ax, y - x>, for each grid point x: the
+    literal O(N^2) scan, in chunks of 512 rows."""
+    pts = grid.points()
+    a_vals = pts @ op.matrix.T + op.offset
+    gaps = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], 512):
+        stop = min(start + 512, pts.shape[0])
+        block = a_vals[start:stop]
+        inner_min = np.min(block @ pts.T, axis=1)
+        gaps[start:stop] = inner_min - np.einsum("ij,ij->i", block, pts[start:stop])
+    return gaps
+
+
+def literal_grid_vi(op, grid) -> np.ndarray:
+    """Grid points x with <Ax, y - x> >= -vi_tolerance against every grid
+    point y, in lexicographic row order."""
+    return grid.points()[literal_vi_gaps(op, grid) >= -grid.vi_tolerance]
 
 
 def diameter(points: np.ndarray) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from oracles import (
 IDENTITY = AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])
 DIAG = AffineOperator(matrix=[[2.0, 0.0], [0.0, 1.0]], offset=[-2.0, 1.0])
 ROTATION = AffineOperator(matrix=[[1.0, -1.0], [1.0, 1.0]], offset=[0.0, 0.0])
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestEvaluate:
@@ -172,6 +175,11 @@ class TestCheckIsm:
         with pytest.raises(ValidationError):
             check_ism(DIAG, 0.0, [([1.0, 0.0], [0.0, 0.0])])
 
+    @pytest.mark.parametrize("alpha", NON_FINITE)
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValidationError, match="alpha must be finite"):
+            check_ism(IDENTITY, alpha, sample_pairs(2, count=10, seed=1))
+
     @pytest.mark.parametrize("dim", range(1, 11))
     def test_certified_alpha_passes_every_dim(self, dim):
         rng = np.random.default_rng(300 + dim)
@@ -207,6 +215,16 @@ class TestCheckRelaxedCocoercive:
         with pytest.raises(ValidationError):
             check_relaxed_cocoercive(DIAG, 0.0, 1.0, [])
 
+    @pytest.mark.parametrize("u", NON_FINITE)
+    def test_non_finite_u_rejected(self, u):
+        with pytest.raises(ValidationError, match="u must be finite"):
+            check_relaxed_cocoercive(IDENTITY, u, 1.0, sample_pairs(2, count=10, seed=1))
+
+    @pytest.mark.parametrize("v", NON_FINITE)
+    def test_non_finite_v_rejected(self, v):
+        with pytest.raises(ValidationError, match="v must be finite"):
+            check_relaxed_cocoercive(IDENTITY, 0.0, v, sample_pairs(2, count=10, seed=1))
+
 
 class TestCheckExpansive:
     def test_identity(self):
@@ -227,6 +245,11 @@ class TestCheckExpansive:
     def test_empty_pairs_refused(self):
         with pytest.raises(ValidationError):
             check_expansive(DIAG, 1.0, [])
+
+    @pytest.mark.parametrize("gamma", NON_FINITE)
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValidationError, match="gamma must be finite"):
+            check_expansive(IDENTITY, gamma, sample_pairs(2, count=10, seed=1))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sigma_min_is_sharp(self, seed):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -10,18 +11,20 @@ from vikit.operators import AffineOperator, certify_moduli, check_ism, sample_pa
 from vikit.solvers import IterationConfig, solve_projected_gradient
 from vikit.verification import (
     BruteForceGrid,
+    _extreme_nodes,
     brute_force_vi,
     check_monotone_chain,
     check_singleton_vi,
     lemma_cocoercive_expansive,
 )
 
-from oracles import diameter, random_monotone_operator
+from oracles import diameter, literal_grid_vi, literal_vi_gaps, random_monotone_operator
 
 UNIT_BOX = Box(lower=[0.0, 0.0], upper=[1.0, 1.0])
 IDENTITY_OP = AffineOperator(matrix=np.eye(2), offset=[-0.5, -0.5])
 DIAG_OP = AffineOperator(matrix=[[2.0, 0.0], [0.0, 1.0]], offset=[-2.0, 1.0])
 ZERO_OP = AffineOperator(matrix=np.zeros((2, 2)), offset=[0.0, 0.0])
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestGrid:
@@ -94,6 +97,110 @@ class TestBruteForceVi:
         op3 = AffineOperator(matrix=np.eye(3), offset=np.zeros(3))
         with pytest.raises(ValidationError):
             brute_force_vi(op3, grid)
+
+
+def _random_grid_instance(rng, kind):
+    """A seeded (operator, grid) pair of dimension 1-3 for the oracle
+    cross-check.  ``kind`` is "box" (float operator), "box_integer" (integer
+    M and q, dyadic spacing and tolerance: exact ties, also at the tolerance
+    edge), "box_degenerate" (an axis with lo == hi and a spacing that does not
+    divide hi - lo) or "simplex"."""
+    dim = int(rng.integers(1, 4))
+    tolerance = 1e-9
+    if kind == "simplex":
+        grid = BruteForceGrid(set_=Simplex(dim), h=1.0 / int(rng.integers(1, 25)))
+    else:
+        lower = rng.uniform(-2.0, 2.0, size=dim)
+        extent = rng.uniform(0.0, 2.0, size=dim)
+        h = float(rng.choice([0.1, 0.25, 0.3, 0.5, 0.7]))
+        if kind == "box_integer":
+            lower, extent = np.round(lower), np.round(extent)
+            h = float(rng.choice([0.25, 0.5, 1.0]))
+            tolerance = float(rng.choice([1e-9, 0.25, 1.0]))
+        if kind == "box_degenerate":
+            extent[rng.integers(dim)] = 0.0
+            h = float(rng.choice([0.3, 0.45, 0.7]))
+        box = Box(lower=lower, upper=lower + extent)
+        grid = BruteForceGrid(set_=box, h=h, vi_tolerance=tolerance)
+    operator_kind = rng.integers(3)
+    if operator_kind == 0:
+        return AffineOperator(matrix=np.zeros((dim, dim)), offset=np.zeros(dim)), grid
+    if operator_kind == 1 or kind == "box_integer":
+        matrix = rng.integers(-3, 4, size=(dim, dim)).astype(float)
+        return AffineOperator(matrix=matrix, offset=rng.integers(-3, 4, size=dim)), grid
+    return AffineOperator(matrix=rng.uniform(-2.0, 2.0, size=(dim, dim)),
+                          offset=rng.uniform(-2.0, 2.0, size=dim)), grid
+
+
+GRID_KINDS = ("box", "box_integer", "box_degenerate", "simplex")
+
+
+class TestOracleCrossCheck:
+    """The corner-node oracle returns exactly the rows of the literal
+    all-pairs scan in tests/oracles.py."""
+
+    def test_goldens(self, golden_oracle):
+        for name, entry in golden_oracle.items():
+            literal = literal_grid_vi(entry["scenario"].operator, entry["grid"])
+            assert np.array_equal(entry["solutions"], literal), name
+
+    def test_random_grids(self):
+        # 240 instances; the set records that they include what makes ties
+        # and odd grids: zero operators, lo == hi axes, non-integral steps,
+        # nodes whose gap is exactly -vi_tolerance
+        seen = set()
+        for index, kind in enumerate(GRID_KINDS):
+            for seed in range(60):
+                op, grid = _random_grid_instance(np.random.default_rng([index, seed]), kind)
+                gaps = literal_vi_gaps(op, grid)
+                literal = grid.points()[gaps >= -grid.vi_tolerance]
+                assert np.array_equal(brute_force_vi(op, grid), literal), (kind, seed)
+                seen.add((kind, op.dim))
+                if not (np.any(op.matrix) or np.any(op.offset)):
+                    seen.add((kind, "zero"))
+                if isinstance(grid.set_, Box):
+                    steps = (grid.set_.upper - grid.set_.lower) / grid.h
+                    if np.any(steps == 0.0):
+                        seen.add("lo == hi")
+                    if np.any(np.abs(steps - np.round(steps)) > 1e-6):
+                        seen.add("non-integral steps")
+                if np.any(gaps == -grid.vi_tolerance):
+                    seen.add("tolerance edge")
+        for kind in GRID_KINDS:
+            assert {(kind, 1), (kind, 2), (kind, 3), (kind, "zero")} <= seen
+        assert {"lo == hi", "non-integral steps", "tolerance edge"} <= seen
+
+
+class TestExtremeNodes:
+    def test_box_corners_are_axis_end_products(self):
+        rng = np.random.default_rng(3)
+        for lower, upper, h in [
+            ([0.0, -1.0, 2.0], [1.0, 0.5, 2.0], 0.3),  # degenerate third axis
+            ([0.0, 0.0], [1.0, 1.0], 0.01),
+            ([-1.5], [0.2], 0.7),
+            *[(lo, lo + rng.uniform(0.0, 2.0, size=3), 0.35)
+              for lo in rng.uniform(-2.0, 2.0, size=(5, 3))],
+        ]:
+            grid = BruteForceGrid(set_=Box(lower=lower, upper=upper), h=h)
+            ends = [
+                sorted({lo, lo + h * steps})
+                for lo, steps in zip(grid.set_.lower, grid._axis_steps())
+            ]
+            expected = np.array(list(itertools.product(*ends)))
+            pts = grid.points()
+            corners = _extreme_nodes(pts)
+            assert np.array_equal(corners, expected)
+            assert all(np.any(np.all(pts == row, axis=1)) for row in corners)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_simplex_vertices(self, dim):
+        for k in (1, 3, 10, 100):
+            grid = BruteForceGrid(set_=Simplex(dim), h=1.0 / k)
+            pts = grid.points()
+            vertices = _extreme_nodes(pts)
+            expected = sorted(tuple(k * grid.h * np.eye(dim)[j]) for j in range(dim))
+            assert np.array_equal(vertices, np.array(expected))
+            assert all(np.any(np.all(pts == row, axis=1)) for row in vertices)
 
 
 class TestSingletonCheck:
@@ -172,6 +279,21 @@ class TestLemmaCocoerciveExpansive:
         with pytest.raises(ValidationError):
             lemma_cocoercive_expansive(DIAG_OP, -0.5, 1.0, 2.0, [([0.0, 1.0], [0.0, 0.0])])
 
+    @pytest.mark.parametrize("m", NON_FINITE)
+    def test_non_finite_m_rejected(self, m):
+        with pytest.raises(ValidationError, match="m must be finite"):
+            lemma_cocoercive_expansive(IDENTITY_OP, m, 1.0, 2.0, sample_pairs(2, count=10))
+
+    @pytest.mark.parametrize("v", NON_FINITE)
+    def test_non_finite_v_rejected(self, v):
+        with pytest.raises(ValidationError, match="must be finite"):
+            lemma_cocoercive_expansive(IDENTITY_OP, 0.0, v, 2.0, sample_pairs(2, count=10))
+
+    @pytest.mark.parametrize("eps", NON_FINITE)
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValidationError, match="must be finite"):
+            lemma_cocoercive_expansive(IDENTITY_OP, 0.0, 1.0, eps, sample_pairs(2, count=10))
+
 
 class TestMonotoneChain:
     def test_identity(self):
@@ -192,6 +314,21 @@ class TestMonotoneChain:
         wx, wy = report.witness
         np.testing.assert_array_equal(wx, [0.0, 1.0])
         np.testing.assert_array_equal(wy, [0.0, 0.0])
+
+    @pytest.mark.parametrize("m", NON_FINITE)
+    def test_non_finite_m_rejected(self, m):
+        with pytest.raises(ValidationError, match="m must be finite"):
+            check_monotone_chain(IDENTITY_OP, m, 1.0, 1.0, sample_pairs(2, count=10))
+
+    @pytest.mark.parametrize("v", NON_FINITE)
+    def test_non_finite_v_rejected(self, v):
+        with pytest.raises(ValidationError, match="v and eps must be finite"):
+            check_monotone_chain(IDENTITY_OP, 0.0, v, 1.0, sample_pairs(2, count=10))
+
+    @pytest.mark.parametrize("eps", NON_FINITE)
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValidationError, match="v and eps must be finite"):
+            check_monotone_chain(IDENTITY_OP, 0.0, 1.0, eps, sample_pairs(2, count=10))
 
 
 class TestLemmasEndToEnd:
