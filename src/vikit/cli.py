@@ -9,9 +9,7 @@ invalid, or a precondition was violated; 4 a solver diverged.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -236,10 +234,6 @@ def _is_plain_stem(name: str) -> bool:
     return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _atomic_write(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -254,22 +248,14 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def write_trace_csv(path: Path, trace: IterationTrace, x_star=None) -> None:
     """Columns in order: n, r_n, s_n, bound_n, dist_n (dist_n only with x_star)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    header = ["n", "r_n", "s_n", "bound_n"]
-    distances = None
+    header = "n,r_n,s_n,bound_n"
+    values = [trace.natural_residuals, trace.operator_residuals, trace.shortcut_bounds]
     if x_star is not None:
-        header.append("dist_n")
-        distances = trace.distances_to(x_star)
-    writer.writerow(header)
-    for i in range(trace.rows):
-        row = [str(i), _fmt(trace.natural_residuals[i])]
-        row.append("" if trace.operator_residuals is None else _fmt(trace.operator_residuals[i]))
-        row.append("" if trace.shortcut_bounds is None else _fmt(trace.shortcut_bounds[i]))
-        if distances is not None:
-            row.append(_fmt(distances[i]))
-        writer.writerow(row)
-    _atomic_write(path, buffer.getvalue())
+        header += ",dist_n"
+        values.append(trace.distances_to(x_star))
+    columns = [map(str, range(trace.rows))] + [
+        [""] * trace.rows if v is None else map(repr, v.tolist()) for v in values]
+    _atomic_write(path, "\n".join([header, *map(",".join, zip(*columns)), ""]))
 
 
 def _default_moduli(op: AffineOperator) -> tuple[float, float, float]:
@@ -310,6 +296,11 @@ def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[Verificati
         """The VI solution set on the scenario's grid, computed on first use."""
         return brute_force_vi(op, scenario.grid)
 
+    @functools.cache
+    def pairs() -> tuple[np.ndarray, np.ndarray]:
+        """The sampled pairs both verify tasks check, drawn on first use."""
+        return sample_pairs(op.dim, seed=seed)
+
     for task in scenario.tasks:
         if task in SOLVER_TASKS:
             trace, fields = _solve(scenario, task)
@@ -319,8 +310,7 @@ def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[Verificati
 
         elif task == "verify_lemma22":
             m, v, eps = scenario.moduli or _default_moduli(op)
-            pairs = sample_pairs(op.dim, seed=seed)
-            report, gamma = lemma_cocoercive_expansive(op, m, v, eps, pairs, seed=seed)
+            report, gamma = lemma_cocoercive_expansive(op, m, v, eps, pairs(), seed=seed)
             reports.append(report)
             records[task] = {"gamma": gamma, "report": report.as_dict()}
 
@@ -337,10 +327,9 @@ def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[Verificati
                     note="operator lacks a certified ism modulus or is not expansive",
                 )]
             else:
-                pairs = sample_pairs(op.dim, seed=seed)
                 task_reports = [
-                    check_ism(op, certified.ism_alpha, pairs, seed=seed),
-                    check_expansive(op, certified.expansiveness, pairs, seed=seed),
+                    check_ism(op, certified.ism_alpha, pairs(), seed=seed),
+                    check_expansive(op, certified.expansiveness, pairs(), seed=seed),
                 ]
                 if scenario.grid is not None:
                     task_reports.append(check_singleton_vi(oracle(), scenario.grid, seed=seed))

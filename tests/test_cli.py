@@ -10,7 +10,9 @@ import pytest
 from vikit import cli, verification
 from vikit.errors import DivergenceError, ValidationError
 from vikit.geometry import AffineSubspace, Ball, Box, Halfspace, Simplex
-from vikit.solvers import AffineAverage, Identity, ProjectionOnto
+from vikit.solvers import AffineAverage, Identity, IterationTrace, ProjectionOnto
+
+from oracles import literal_trace_csv
 
 BASE_SCENARIO = {
     "name": "unit",
@@ -184,6 +186,20 @@ class TestRunScenario:
         monkeypatch.setattr(verification, "brute_force_vi", counting_oracle)
         doc = json.loads(cli.golden_path("box_diag").read_text())
         assert {"verify_lemma31", "brute_force"} <= set(doc["tasks"])
+        assert cli.run_scenario(cli.golden_path("box_diag"), tmp_path) == 0
+        assert len(calls) == 1
+
+    def test_golden_box_draws_sample_pairs_once(self, tmp_path, monkeypatch):
+        calls = []
+        draw = cli.sample_pairs
+
+        def counting_draw(*args, **kwargs):
+            calls.append(1)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_pairs", counting_draw)
+        doc = json.loads(cli.golden_path("box_diag").read_text())
+        assert {"verify_lemma22", "verify_lemma31"} <= set(doc["tasks"])
         assert cli.run_scenario(cli.golden_path("box_diag"), tmp_path) == 0
         assert len(calls) == 1
 
@@ -378,3 +394,39 @@ class TestMain:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "script.reports.json").exists()
+
+
+SPECIAL_VALUES = [np.nan, np.inf, -0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestTraceCsvWriter:
+    """write_trace_csv gives the bytes of the csv.writer reference."""
+
+    @staticmethod
+    def check(tmp_path, trace, x_star=None):
+        path = tmp_path / "trace.csv"
+        cli.write_trace_csv(path, trace, x_star=x_star)
+        assert path.read_bytes() == literal_trace_csv(trace, x_star=x_star).encode()
+
+    @pytest.mark.parametrize("rows", [1, len(SPECIAL_VALUES)])
+    @pytest.mark.parametrize("columns", ["r", "rs", "rsb"])
+    @pytest.mark.parametrize("x_star", [None, [0.0, -0.0], [np.inf, 1.0]])
+    def test_special_values(self, tmp_path, rows, columns, x_star):
+        values = np.array(SPECIAL_VALUES[:rows])
+        iterates = np.column_stack([values, values[::-1]])
+        trace = IterationTrace(
+            iterates=iterates,
+            natural_residuals=values,
+            operator_residuals=values[::-1] if "s" in columns else None,
+            shortcut_bounds=-values if "b" in columns else None,
+            status="MaxIters",
+            gamma=1.0,
+        )
+        self.check(tmp_path, trace, x_star)
+
+    def test_golden_traces(self, tmp_path, golden_scenarios):
+        for sc in golden_scenarios:
+            trace, _ = cli._solve(sc, "solve_halpern")
+            self.check(tmp_path, trace)
+            self.check(tmp_path, trace, sc.x_star)

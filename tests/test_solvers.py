@@ -1,11 +1,18 @@
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vikit.errors import ConfigurationError, DivergenceError, ValidationError
-from vikit.geometry import Ball, Box, contains
+from vikit import solvers
+from vikit.errors import (
+    ConfigurationError,
+    DimensionMismatchError,
+    DivergenceError,
+    ValidationError,
+)
+from vikit.geometry import AffineSubspace, Ball, Box, Halfspace, Simplex, contains
 from vikit.operators import AffineOperator, certify_moduli, evaluate
 from vikit.solvers import (
     AffineAverage,
@@ -19,7 +26,12 @@ from vikit.solvers import (
     solve_projected_gradient,
 )
 
-from oracles import box_quadratic_grid_argmin, sample_in_set
+from oracles import (
+    box_quadratic_grid_argmin,
+    literal_run,
+    random_monotone_operator,
+    sample_in_set,
+)
 
 GOLDEN_FILE = Path(__file__).parent / "goldens" / "compare_stopping.json"
 
@@ -313,3 +325,159 @@ def test_divergence_error_carries_iteration_index():
     err = DivergenceError(17)
     assert err.iteration == 17
     assert "17" in str(err)
+
+
+def literal_solve(monkeypatch, solve, *args, **kwargs):
+    """``solve`` run on the reference loop that re-checks every input."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_run", literal_run)
+        return solve(*args, **kwargs)
+
+
+def assert_same_trace(lean, literal):
+    assert (lean.status, lean.rows, lean.gamma) == (literal.status, literal.rows, literal.gamma)
+    for name in ("iterates", "natural_residuals", "operator_residuals", "shortcut_bounds"):
+        a, b = getattr(lean, name), getattr(literal, name)
+        assert (a is None) == (b is None), name
+        assert a is None or np.array_equal(a, b), name
+
+
+SET_TYPES = (Box, Ball, Halfspace, Simplex, AffineSubspace)
+MAP_TYPES = (Identity, ProjectionOnto, AffineAverage)
+RULES = ("harmonic", "power", "geometric")
+LOOP_VARIANTS = list(itertools.product(SET_TYPES, MAP_TYPES, RULES))
+LOOP_DIMS = (1, 2, 3, 10, 50)
+LOOP_INSTANCES = 150
+
+
+def random_set(rng, set_type, n):
+    if set_type is Box:
+        lower = rng.uniform(-2.0, 0.0, n)
+        return Box(lower=lower, upper=lower + rng.uniform(0.0, 2.0, n))
+    if set_type is Ball:
+        return Ball(center=rng.uniform(-1.0, 1.0, n), radius=rng.uniform(0.5, 2.0))
+    if set_type is Halfspace:
+        return Halfspace(normal=rng.normal(size=n), offset=rng.uniform(-1.0, 1.0))
+    if set_type is Simplex:
+        return Simplex(n)
+    basis = np.linalg.qr(rng.normal(size=(n, n)))[0][:, : n // 2].T
+    return AffineSubspace(basepoint=rng.normal(size=n), orthonormal_basis=basis)
+
+
+def loop_instance(i):
+    """Instance i: every (set, map, rule) triple recurs every 45 instances,
+    with the dimension shifted each round; even i supply x_ref, and every
+    seventh instance caps the run at 5 iterations."""
+    rng = np.random.default_rng(1000 + i)
+    set_type, map_type, rule = LOOP_VARIANTS[i % len(LOOP_VARIANTS)]
+    n = LOOP_DIMS[(i + i // len(LOOP_VARIANTS)) % len(LOOP_DIMS)]
+    op = random_monotone_operator(rng, n)
+    alpha = certify_moduli(op).ism_alpha
+    schedule = AnchorSchedule(rule=rule, scale=rng.uniform(0.2, 1.0),
+                              exponent=rng.uniform(0.5, 2.0), ratio=rng.uniform(0.1, 0.9))
+    cfg = IterationConfig(step=rng.uniform(0.2, 0.95) * 2.0 * alpha, anchor_schedule=schedule,
+                          max_iters=5 if i % 7 == 0 else 300)
+    if map_type is Identity:
+        s_map = Identity()
+    elif map_type is ProjectionOnto:
+        s_map = ProjectionOnto(random_set(rng, Ball, n))
+    else:
+        s_map = AffineAverage(t=rng.uniform(0.0, 1.0), fixed_point=rng.normal(size=n))
+    return dict(
+        op=op, set_=random_set(rng, set_type, n), s_map=s_map, cfg=cfg,
+        x0=3.0 * rng.normal(size=n),
+        anchor=None if i % 3 else rng.normal(size=n),
+        x_ref=rng.normal(size=n) if i % 2 == 0 else None,
+    )
+
+
+class TestReferenceLoop:
+    """The solver loop validates its inputs once per solve; the reference loop
+    re-checks them on every iteration.  Both must give the same bits."""
+
+    @pytest.mark.parametrize("i", range(LOOP_INSTANCES))
+    def test_matches_reference_loop(self, monkeypatch, i):
+        inst = loop_instance(i)
+        pg_args = (inst["op"], inst["set_"], inst["cfg"], inst["x0"])
+        halpern_args = (inst["op"], inst["set_"], inst["s_map"], inst["cfg"], inst["x0"])
+        halpern_kwargs = {"anchor": inst["anchor"], "x_ref": inst["x_ref"]}
+        assert_same_trace(
+            solve_projected_gradient(*pg_args, x_ref=inst["x_ref"]),
+            literal_solve(monkeypatch, solve_projected_gradient, *pg_args, x_ref=inst["x_ref"]))
+        assert_same_trace(
+            solve_halpern(*halpern_args, **halpern_kwargs),
+            literal_solve(monkeypatch, solve_halpern, *halpern_args, **halpern_kwargs))
+
+    def test_instances_cover_every_variant(self):
+        instances = [loop_instance(i) for i in range(LOOP_INSTANCES)]
+        assert {(type(inst["set_"]), type(inst["s_map"]), inst["cfg"].anchor_schedule.rule)
+                for inst in instances} == set(LOOP_VARIANTS)
+        assert {inst["op"].dim for inst in instances} == set(LOOP_DIMS)
+        assert {inst["x_ref"] is None for inst in instances} == {True, False}
+        statuses = {
+            solve_halpern(inst["op"], inst["set_"], inst["s_map"], inst["cfg"], inst["x0"]).status
+            for inst in instances[:len(LOOP_VARIANTS)]}
+        assert statuses == {solvers.CONVERGED, solvers.MAX_ITERS}
+
+    def test_goldens_match_reference_loop(self, monkeypatch, golden_scenarios):
+        for sc in golden_scenarios:
+            pg_args = (sc.operator, sc.set_, sc.config, sc.x0)
+            halpern_args = (sc.operator, sc.set_, sc.map_s, sc.config, sc.x0)
+            assert_same_trace(
+                solve_projected_gradient(*pg_args, x_ref=sc.x_star),
+                literal_solve(monkeypatch, solve_projected_gradient, *pg_args, x_ref=sc.x_star))
+            assert_same_trace(
+                solve_halpern(*halpern_args, anchor=sc.anchor, x_ref=sc.x_star),
+                literal_solve(monkeypatch, solve_halpern, *halpern_args, anchor=sc.anchor,
+                              x_ref=sc.x_star))
+            lean = compare_stopping(*pg_args, sc.x_star, sc.delta)
+            literal = literal_solve(monkeypatch, compare_stopping, *pg_args, sc.x_star, sc.delta)
+            assert (lean.shortcut_iteration, lean.natural_iteration) == (
+                literal.shortcut_iteration, literal.natural_iteration)
+            assert_same_trace(lean.trace, literal.trace)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestLoopErrors:
+    """Errors raised inside a solve keep their type and message."""
+
+    def test_overflowing_gradient_step(self):
+        op = AffineOperator(matrix=10.0 * np.eye(2), offset=[0.0, 0.0])
+        halfspace = Halfspace(normal=[1.0, 0.0], offset=0.0)
+        cfg = IterationConfig(step=0.1)
+        with pytest.raises(ValidationError, match="^point has non-finite entries$"):
+            solve_projected_gradient(op, halfspace, cfg, [-1e308, 0.0])
+        with pytest.raises(ValidationError, match="^point has non-finite entries$"):
+            solve_halpern(op, halfspace, Identity(), cfg, [-1e308, 0.0])
+
+    def test_start_point_whose_projection_overflows(self):
+        op = AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])
+        halfspace = Halfspace(normal=[1e200, 1e200], offset=0.0)
+        cfg = IterationConfig(step=1.0)
+        with pytest.raises(ValidationError, match="^input vector has non-finite entries$"):
+            solve_projected_gradient(op, halfspace, cfg, [1e200, 1e200])
+        with pytest.raises(ValidationError, match="^input vector has non-finite entries$"):
+            solve_halpern(op, halfspace, Identity(), cfg, [1e200, 1e200])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reference_point(self, bad):
+        op = shifted_identity([0.5, 0.5])
+        cfg = IterationConfig(step=1.0)
+        with pytest.raises(ValidationError, match="^input vector has non-finite entries$"):
+            solve_projected_gradient(op, UNIT_BOX, cfg, [0.0, 0.0], x_ref=[bad, 0.0])
+        with pytest.raises(ValidationError, match="^input vector has non-finite entries$"):
+            solve_halpern(op, UNIT_BOX, Identity(), cfg, [0.0, 0.0], x_ref=[0.0, bad])
+
+    def test_reference_point_dimension(self):
+        op = shifted_identity([0.5, 0.5])
+        with pytest.raises(DimensionMismatchError, match="^vector has dimension 3, expected 2$"):
+            solve_projected_gradient(op, UNIT_BOX, IterationConfig(step=1.0), [0.0, 0.0],
+                                     x_ref=[0.0, 0.0, 0.0])
+
+    def test_map_that_changes_the_dimension(self):
+        # (1 - t) x + t c broadcasts a 1-vector x against a 3-vector c
+        op = AffineOperator(matrix=[[1.0]], offset=[0.0])
+        s_map = AffineAverage(t=0.5, fixed_point=[1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatchError, match="^vector has dimension 3, expected 1$"):
+            solve_halpern(op, Box(lower=[-1.0], upper=[1.0]), s_map, IterationConfig(step=1.0),
+                          [0.5])
