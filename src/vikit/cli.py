@@ -22,13 +22,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, DivergenceError, ValidationError
 from .geometry import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex
-from .operators import (
-    AffineOperator,
-    certify_moduli,
-    check_expansive,
-    check_ism,
-    sample_pairs,
-)
+from .operators import AffineOperator, certify_moduli, check_expansive, check_ism
+from .operators import sample_pairs  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .reports import PASS, PRECONDITION_VIOLATED, VerificationReport
 from .solvers import (
     DEFAULT_COMPARISON_DELTA,
@@ -296,11 +291,6 @@ def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[Verificati
         """The VI solution set on the scenario's grid, computed on first use."""
         return brute_force_vi(op, scenario.grid)
 
-    @functools.cache
-    def pairs() -> tuple[np.ndarray, np.ndarray]:
-        """The sampled pairs both verify tasks check, drawn on first use."""
-        return sample_pairs(op.dim, seed=seed)
-
     for task in scenario.tasks:
         if task in SOLVER_TASKS:
             trace, fields = _solve(scenario, task)
@@ -310,7 +300,7 @@ def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[Verificati
 
         elif task == "verify_lemma22":
             m, v, eps = scenario.moduli or _default_moduli(op)
-            report, gamma = lemma_cocoercive_expansive(op, m, v, eps, pairs(), seed=seed)
+            report, gamma = lemma_cocoercive_expansive(op, m, v, eps)
             reports.append(report)
             records[task] = {"gamma": gamma, "report": report.as_dict()}
 
@@ -328,8 +318,8 @@ def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[Verificati
                 )]
             else:
                 task_reports = [
-                    check_ism(op, certified.ism_alpha, pairs(), seed=seed),
-                    check_expansive(op, certified.expansiveness, pairs(), seed=seed),
+                    check_ism(op, certified.ism_alpha),
+                    check_expansive(op, certified.expansiveness),
                 ]
                 if scenario.grid is not None:
                     task_reports.append(check_singleton_vi(oracle(), scenario.grid, seed=seed))

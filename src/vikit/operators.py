@@ -3,8 +3,11 @@
 For this family every modulus of interest is exactly computable: the Lipschitz
 constant is the largest singular value of M, the expansiveness modulus the
 smallest, and the strong-monotonicity constant the smallest eigenvalue of the
-symmetric part (M + M^T)/2.  The ``check_*`` functions verify the defining
-inequalities on sampled pairs and report the first violating pair on failure.
+symmetric part M_s = (M + M^T)/2.  Each pairwise inequality the ``check_*``
+functions verify is, with z = x - y, a quadratic form z^T Q z >= 0 for one
+symmetric Q built from M_s, M^T M and I, so it holds for every pair x, y iff
+lambda_min(Q) >= 0.  The checkers decide that from the eigenvalues of Q and on
+failure report the pair (w, 0) for a minimizing unit eigenvector w.
 """
 
 from __future__ import annotations
@@ -15,11 +18,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .reports import VerificationReport, pairwise_report
+from .reports import FAIL, PASS, VerificationReport
+from .reports import pairwise_report  # noqa: F401  (perfbench/tracing.py wraps this name)
 
-# Additive slack on every inequality check: double-precision rounding on norms
-# of O(1)-O(10) vectors.
-DEFAULT_TOLERANCE = 1e-9
+# Dimensionless slack of the quadratic-form checks: Q passes iff
+# lambda_min(Q) >= -RELATIVE_TOLERANCE * S, S the spectral scale of Q's terms
+# (see ``_check_forms``); it absorbs the rounding of forming Q and of eigvalsh.
+RELATIVE_TOLERANCE = 1e-12
+EXACT_NOTE = f"exact: lambda_min(Q) >= -{RELATIVE_TOLERANCE:g} * S over all pairs"
 SAMPLE_LOW = -10.0
 SAMPLE_HIGH = 10.0
 DEFAULT_SAMPLE_COUNT = 10_000
@@ -71,8 +77,7 @@ class AffineOperator:
         singular = np.linalg.svd(self.matrix, compute_uv=False)
         eps = float(singular[0])
         gamma = float(singular[-1])
-        sym = 0.5 * (self.matrix + self.matrix.T)
-        v = float(np.linalg.eigvalsh(sym)[0])
+        v = float(np.linalg.eigvalsh(self._sym)[0])
         try:
             alpha = v / eps**2 if v > 0.0 else None
         except OverflowError:
@@ -86,6 +91,16 @@ class AffineOperator:
             expansiveness=gamma,
             cocoercive_pair=(0.0, v),
         )
+
+    @cached_property
+    def _sym(self) -> np.ndarray:
+        """The symmetric part M_s = (M + M^T)/2, formed on first use."""
+        return 0.5 * (self.matrix + self.matrix.T)
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        """The Gram matrix M^T M, formed on first use."""
+        return self.matrix.T @ self.matrix
 
 
 @dataclass(frozen=True)
@@ -135,87 +150,76 @@ def sample_pairs(
     return xs, ys
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise inner products of two (k, n) arrays."""
-    return np.einsum("ij,ij->i", a, b)
+def _check_forms(op: AffineOperator, name: str, forms) -> VerificationReport:
+    """Engine of the pairwise checkers.  Each (a, b, c) in ``forms`` is the
+    inequality z^T Q z >= 0 for all z, with Q = a M_s + b M^T M + c I; for
+    z = x - y it is the checker's inequality on the pair (x, y).
 
-
-def _check_pairs(op: AffineOperator, name: str, pairs, seed, deficits) -> VerificationReport:
-    """Engine of the pairwise checkers: normalize the pairs to two validated
-    (k, n) arrays xs, ys, form z = xs - ys and Mz = Ax - Ay once, and report on
-    the slack deficits ``deficits(z, Mz)`` (see ``pairwise_report``).
-
-    Accepts a 2-tuple of stacked (k, n) arrays, a single (x, y) pair, or a
-    sequence of (x, y) pairs.
+    A form holds iff lambda_min(Q) >= 0, and it passes iff lambda_min(Q) >=
+    -RELATIVE_TOLERANCE * S with S = |a| |M_s| + |b| |M^T M| + |c|, where |T| is
+    the largest absolute row sum, a bound on the spectral norm of a symmetric
+    T.  S scales with the terms, not with Q, which is ~0 at a tight modulus.
+    The report's max_violation is the largest deficit -lambda_min(Q) - tol * S;
+    a failing report's witness is (w, 0) for the unit eigenvector w of
+    lambda_min of the worst form.  A Q or S that overflows raises
+    ValidationError, since a non-finite Q has no meaningful spectrum.
     """
-    xs = ys = None
-    if isinstance(pairs, tuple) and len(pairs) == 2:
-        a, b = np.asarray(pairs[0], dtype=float), np.asarray(pairs[1], dtype=float)
-        if a.ndim == 2 and b.ndim == 2:
-            xs, ys = a, b
-        elif a.ndim == 1 and b.ndim == 1:
-            xs, ys = a[None, :], b[None, :]
-    if xs is None:
-        seq = list(pairs)
-        xs = np.asarray([p[0] for p in seq], dtype=float)
-        ys = np.asarray([p[1] for p in seq], dtype=float)
-    if xs.shape[0] == 0:
-        raise ValidationError("empty pair list: vacuous check refused")
-    if xs.shape != ys.shape or xs.ndim != 2 or xs.shape[1] != op.dim:
-        raise DimensionMismatchError(op.dim, int(xs.shape[-1]), what="sample pair")
-    z = xs - ys
-    return pairwise_report(name, deficits(z, z @ op.matrix.T), xs, ys, seed=seed)
-
-
-def check_ism(
-    op: AffineOperator,
-    alpha: float,
-    pairs,
-    tolerance: float = DEFAULT_TOLERANCE,
-    seed: int | None = None,
-) -> VerificationReport:
-    """Check <Ax - Ay, x - y> >= alpha * |Ax - Ay|^2 on every pair."""
-    if not (np.isfinite(alpha) and alpha > 0.0):
-        raise ValidationError("ism modulus alpha must be finite and positive")
-    return _check_pairs(
-        op, f"ism(alpha={alpha:g})", pairs, seed,
-        lambda z, dz: alpha * _rowdot(dz, dz) - _rowdot(dz, z) - tolerance,
+    n = op.dim
+    forms_q, deficits = [], []
+    for a, b, c in forms:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+            q = c * np.eye(n)
+            scale = abs(c)
+            if a:
+                q += a * op._sym
+                scale += abs(a) * np.linalg.norm(op._sym, np.inf)
+            if b:
+                q += b * op._gram
+                scale += abs(b) * np.linalg.norm(op._gram, np.inf)
+        if not (np.isfinite(q).all() and np.isfinite(scale)):
+            raise ValidationError(f"{name}: the quadratic form overflows a float")
+        forms_q.append(q)
+        deficits.append(-np.linalg.eigvalsh(q)[0] - RELATIVE_TOLERANCE * scale)
+    worst = int(np.argmax(deficits))  # a NaN deficit counts as the worst
+    max_violation = float(deficits[worst])
+    witness = None
+    if not max_violation <= 0.0:
+        witness = (np.linalg.eigh(forms_q[worst])[1][:, 0], np.zeros(n))
+    return VerificationReport(
+        property=name,
+        status=PASS if witness is None else FAIL,
+        witness=witness,
+        samples_used=0,
+        max_violation=max_violation,
+        note=EXACT_NOTE,
     )
 
 
-def check_relaxed_cocoercive(
-    op: AffineOperator,
-    u: float,
-    v: float,
-    pairs,
-    tolerance: float = DEFAULT_TOLERANCE,
-    seed: int | None = None,
-) -> VerificationReport:
-    """Check <Ax - Ay, x - y> >= -u|Ax - Ay|^2 + v|x - y|^2 on every pair."""
+def check_ism(op: AffineOperator, alpha: float) -> VerificationReport:
+    """Check <Ax - Ay, x - y> >= alpha * |Ax - Ay|^2 for all x, y:
+    Q = M_s - alpha M^T M."""
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        raise ValidationError("ism modulus alpha must be finite and positive")
+    return _check_forms(op, f"ism(alpha={alpha:g})", [(1.0, -alpha, 0.0)])
+
+
+def check_relaxed_cocoercive(op: AffineOperator, u: float, v: float) -> VerificationReport:
+    """Check <Ax - Ay, x - y> >= -u|Ax - Ay|^2 + v|x - y|^2 for all x, y:
+    Q = M_s + u M^T M - v I."""
     if not (np.isfinite(v) and v > 0.0):
         raise ValidationError("cocoercivity constant v must be finite and positive")
     if not (np.isfinite(u) and u >= 0.0):
         raise ValidationError("cocoercivity constant u must be finite and nonnegative")
-    return _check_pairs(
-        op, f"relaxed_cocoercive(u={u:g},v={v:g})", pairs, seed,
-        lambda z, dz: -u * _rowdot(dz, dz) + v * _rowdot(z, z) - _rowdot(dz, z) - tolerance,
-    )
+    return _check_forms(op, f"relaxed_cocoercive(u={u:g},v={v:g})", [(1.0, u, -v)])
 
 
-def check_expansive(
-    op: AffineOperator,
-    gamma: float,
-    pairs,
-    tolerance: float = DEFAULT_TOLERANCE,
-    seed: int | None = None,
-) -> VerificationReport:
-    """Check |A x - A y| >= gamma * |x - y| - tolerance on every pair."""
+def check_expansive(op: AffineOperator, gamma: float) -> VerificationReport:
+    """Check |A x - A y| >= gamma * |x - y| for all x, y, in squared form:
+    Q = M^T M - gamma^2 I."""
     if not (np.isfinite(gamma) and gamma > 0.0):
         raise ValidationError("expansiveness modulus gamma must be finite and positive")
-    return _check_pairs(
-        op, f"expansive(gamma={gamma:g})", pairs, seed,
-        lambda z, dz: gamma * np.linalg.norm(z, axis=1) - np.linalg.norm(dz, axis=1) - tolerance,
-    )
+    # gamma * gamma, not gamma**2: a huge gamma gives inf, not OverflowError.
+    return _check_forms(op, f"expansive(gamma={gamma:g})", [(0.0, 1.0, -gamma * gamma)])
 
 
 __all__ = [
@@ -227,6 +231,6 @@ __all__ = [
     "check_ism",
     "check_relaxed_cocoercive",
     "check_expansive",
-    "DEFAULT_TOLERANCE",
+    "RELATIVE_TOLERANCE",
     "DEFAULT_SAMPLE_COUNT",
 ]

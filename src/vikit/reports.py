@@ -1,9 +1,12 @@
-"""Pass/fail records produced by the sampled inequality checkers.
+"""Pass/fail records produced by the inequality checkers.
 
 A report measures violations as *slack deficits*: for a required inequality
-``lhs >= rhs`` checked with additive tolerance ``tol``, the deficit of a sample
-is ``rhs - lhs - tol``.  The check passes iff the largest deficit is <= 0, so
-``max_violation <= 0`` exactly characterizes a passing report.
+``lhs >= rhs`` checked with tolerance ``tol``, the deficit is
+``rhs - lhs - tol``.  The check passes iff the largest deficit is <= 0, so
+``max_violation <= 0`` exactly characterizes a passing report.  The exact
+pairwise checkers in ``operators`` take the deficit of a quadratic form at its
+minimizing unit direction, -lambda_min(Q) - tol; ``pairwise_report`` builds a
+report from deficits measured on sampled pairs instead.
 """
 
 from __future__ import annotations

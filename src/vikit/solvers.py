@@ -138,10 +138,14 @@ class Identity(NonexpansiveMap):
 
 @dataclass(frozen=True)
 class ProjectionOnto(NonexpansiveMap):
+    """x -> P_S(x).  ``apply`` takes a finite vector of the set's dimension
+    unchecked: ``solve_halpern`` checks the dimension once per solve, and the
+    points it maps were checked when the loop made them."""
+
     set_: ConvexSet
 
     def apply(self, x):
-        return self.set_.project(x)
+        return self.set_._project(x)
 
 
 @dataclass(frozen=True)
@@ -282,6 +286,8 @@ def solve_halpern(
         raise DimensionMismatchError(op.dim, int(np.prod(anchor.shape)), what="anchor")
     if not np.all(np.isfinite(anchor)):
         raise ValidationError("anchor has non-finite entries")
+    if isinstance(s_map, ProjectionOnto) and s_map.set_.dim != op.dim:
+        raise DimensionMismatchError(op.dim, s_map.set_.dim, what="map_s set")
     sched = cfg.anchor_schedule
 
     def advance(n, x, proj):

@@ -1,6 +1,10 @@
 """Executable certificates: expansiveness derived from cocoercivity, a
 brute-force grid oracle for VI(C, A), and monotonicity-chain checks.
 
+The Lemma 2.2 and monotonicity-chain checks are exact: each inequality is a
+quadratic form in z = x - y, decided by its smallest eigenvalue through the
+engine in ``operators``.
+
 The grid oracle accepts a grid point x iff <Ax, y - x> >= -vi_tolerance for
 every grid point y.  A linear function attains its minimum over the grid at a
 corner (box) or vertex (simplex) node, so only those nodes are scanned; the
@@ -17,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import Box, ConvexSet, Simplex
-from .operators import DEFAULT_TOLERANCE, AffineOperator, _check_pairs, _rowdot
+from .operators import AffineOperator, _check_forms
 from .reports import FAIL, PASS, PRECONDITION_VIOLATED, VerificationReport
 from .reports import pairwise_report  # noqa: F401  (perfbench/tracing.py wraps this name)
 
@@ -103,7 +107,7 @@ def brute_force_vi(op: AffineOperator, grid: BruteForceGrid) -> np.ndarray:
     pts = grid.points()
     a_vals = pts @ op.matrix.T + op.offset
     inner_min = np.min(a_vals @ _extreme_nodes(pts).T, axis=1)
-    return pts[inner_min - _rowdot(a_vals, pts) >= -grid.vi_tolerance]
+    return pts[inner_min - np.einsum("ij,ij->i", a_vals, pts) >= -grid.vi_tolerance]
 
 
 def _diameter(points: np.ndarray) -> tuple[float, int, int]:
@@ -151,21 +155,16 @@ def check_singleton_vi(
 
 
 def lemma_cocoercive_expansive(
-    op: AffineOperator,
-    m: float,
-    v: float,
-    eps: float,
-    pairs,
-    tolerance: float = DEFAULT_TOLERANCE,
-    seed: int | None = None,
+    op: AffineOperator, m: float, v: float, eps: float
 ) -> tuple[VerificationReport, float]:
     """Derive the expansiveness modulus gamma = v - m*eps^2 of a relaxed
-    (m, v)-cocoercive, eps-Lipschitz operator and verify it on sampled pairs.
+    (m, v)-cocoercive, eps-Lipschitz operator and verify it for all pairs.
 
-    Checks both |Ax - Ay| >= gamma|x - y| and the intermediate squared form
-    <Ax - Ay, x - y> >= gamma|x - y|^2 (the first follows from the second by
-    Cauchy-Schwarz).  Returns (report, gamma); when gamma <= 0 the hypothesis
-    fails and the report status is PreconditionViolated.
+    Checks both |Ax - Ay| >= gamma|x - y| (Q = M^T M - gamma^2 I) and the
+    intermediate squared form <Ax - Ay, x - y> >= gamma|x - y|^2
+    (Q = M_s - gamma I; the first follows from it by Cauchy-Schwarz).  Returns
+    (report, gamma); when gamma <= 0 the hypothesis fails and the report
+    status is PreconditionViolated.
     """
     if not (np.isfinite(m) and m >= 0.0):
         raise ValidationError("cocoercivity constant m must be finite and nonnegative")
@@ -181,45 +180,21 @@ def lemma_cocoercive_expansive(
             witness=None,
             samples_used=0,
             max_violation=0.0,
-            seed=seed,
             note=f"derived modulus v - m*eps^2 = {gamma:g} is not positive",
         ), gamma
-
-    def deficits(z, dz):
-        norm_z = np.linalg.norm(z, axis=1)
-        return np.concatenate([
-            gamma * norm_z - np.linalg.norm(dz, axis=1) - tolerance,
-            gamma * norm_z**2 - _rowdot(dz, z) - tolerance,
-        ])
-
-    return _check_pairs(op, name, pairs, seed, deficits), gamma
+    return _check_forms(op, name, [(0.0, 1.0, -gamma * gamma), (1.0, 0.0, -gamma)]), gamma
 
 
-def check_monotone_chain(
-    op: AffineOperator,
-    m: float,
-    v: float,
-    eps: float,
-    pairs,
-    tolerance: float = DEFAULT_TOLERANCE,
-    seed: int | None = None,
-) -> VerificationReport:
-    """Check the squared-form monotonicity chain on every pair:
-    <Ax - Ay, x - y> >= -m|Ax - Ay|^2 + v|x - y|^2 and <Ax - Ay, x - y> >= 0."""
+def check_monotone_chain(op: AffineOperator, m: float, v: float, eps: float) -> VerificationReport:
+    """Check the squared-form monotonicity chain for all pairs:
+    <Ax - Ay, x - y> >= -m|Ax - Ay|^2 + v|x - y|^2 (Q = M_s + m M^T M - v I)
+    and <Ax - Ay, x - y> >= 0 (Q = M_s)."""
     if not (np.isfinite(m) and m >= 0.0):
         raise ValidationError("cocoercivity constant m must be finite and nonnegative")
     if not (np.isfinite(v) and np.isfinite(eps)):
         raise ValidationError("constants v and eps must be finite")
-
-    def deficits(z, dz):
-        inner = _rowdot(dz, z)
-        return np.concatenate([
-            -m * _rowdot(dz, dz) + v * _rowdot(z, z) - inner - tolerance,
-            -inner - tolerance,
-        ])
-
     name = f"monotone_chain(m={m:g},v={v:g},eps={eps:g})"
-    return _check_pairs(op, name, pairs, seed, deficits)
+    return _check_forms(op, name, [(1.0, m, -v), (1.0, 0.0, 0.0)])
 
 
 __all__ = [

@@ -7,7 +7,9 @@ VI solutions come from grid search over an objective, or from the literal
 all-pairs grid scan, rather than from the package's own corner-node oracle.
 The solver loop and the trace CSV writer also have literal references here:
 a loop that re-checks every input through the public ``evaluate`` and
-``project``, and a writer built on ``csv.writer``.
+``project``, and a writer built on ``csv.writer``.  The pairwise checkers have
+a sampled counterpart: the ``sampled_*`` functions evaluate each inequality on
+explicit pairs (x, y), independent of the package's eigenvalue engine.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ import io
 import math
 
 import numpy as np
+
+from vikit.errors import DimensionMismatchError, ValidationError
+from vikit.operators import AffineOperator
+from vikit.reports import PRECONDITION_VIOLATED, VerificationReport, pairwise_report
 
 
 def _lam_max(gram: np.ndarray, max_iters: int = 500_000, rtol: float = 1e-15) -> float:
@@ -156,8 +162,6 @@ def sample_in_set(set_, rng: np.random.Generator, count: int) -> np.ndarray:
 def random_monotone_operator(rng: np.random.Generator, dim: int):
     """Random affine operator whose symmetric part has a known positive
     smallest eigenvalue (drawn from [0.05, 1])."""
-    from vikit.operators import AffineOperator
-
     raw = rng.uniform(-1.0, 1.0, size=(dim, dim))
     sym_min = float(np.linalg.eigvalsh(0.5 * (raw + raw.T))[0])
     margin = rng.uniform(0.05, 1.0)
@@ -238,3 +242,171 @@ def literal_trace_csv(trace, x_star=None) -> str:
             row.append(fmt(distances[i]))
         writer.writerow(row)
     return buffer.getvalue()
+
+
+def literal_projection_apply(self, x):
+    """``ProjectionOnto.apply`` through the public, input-checking ``project``."""
+    return self.set_.project(x)
+
+
+# -- sampled pairwise checkers ------------------------------------------------
+# The package's pairwise checkers as they were before the exact engine: each
+# inequality is evaluated on explicit pairs with an additive tolerance, and a
+# report's witness is the first violating pair in sample order.
+
+SAMPLED_TOLERANCE = 1e-9
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise inner products of two (k, n) arrays."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def check_pairs(op: AffineOperator, name: str, pairs, seed, deficits) -> VerificationReport:
+    """Engine of the sampled checkers: normalize the pairs to two validated
+    (k, n) arrays xs, ys, form z = xs - ys and Mz = Ax - Ay once, and report on
+    the slack deficits ``deficits(z, Mz)`` (see ``pairwise_report``).
+
+    Accepts a 2-tuple of stacked (k, n) arrays, a single (x, y) pair, or a
+    sequence of (x, y) pairs.
+    """
+    xs = ys = None
+    if isinstance(pairs, tuple) and len(pairs) == 2:
+        a, b = np.asarray(pairs[0], dtype=float), np.asarray(pairs[1], dtype=float)
+        if a.ndim == 2 and b.ndim == 2:
+            xs, ys = a, b
+        elif a.ndim == 1 and b.ndim == 1:
+            xs, ys = a[None, :], b[None, :]
+    if xs is None:
+        seq = list(pairs)
+        xs = np.asarray([p[0] for p in seq], dtype=float)
+        ys = np.asarray([p[1] for p in seq], dtype=float)
+    if xs.shape[0] == 0:
+        raise ValidationError("empty pair list: vacuous check refused")
+    if xs.shape != ys.shape or xs.ndim != 2 or xs.shape[1] != op.dim:
+        raise DimensionMismatchError(op.dim, int(xs.shape[-1]), what="sample pair")
+    z = xs - ys
+    return pairwise_report(name, deficits(z, z @ op.matrix.T), xs, ys, seed=seed)
+
+
+def sampled_check_ism(
+    op: AffineOperator,
+    alpha: float,
+    pairs,
+    tolerance: float = SAMPLED_TOLERANCE,
+    seed: int | None = None,
+) -> VerificationReport:
+    """Check <Ax - Ay, x - y> >= alpha * |Ax - Ay|^2 on every pair."""
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        raise ValidationError("ism modulus alpha must be finite and positive")
+    return check_pairs(
+        op, f"ism(alpha={alpha:g})", pairs, seed,
+        lambda z, dz: alpha * rowdot(dz, dz) - rowdot(dz, z) - tolerance,
+    )
+
+
+def sampled_check_relaxed_cocoercive(
+    op: AffineOperator,
+    u: float,
+    v: float,
+    pairs,
+    tolerance: float = SAMPLED_TOLERANCE,
+    seed: int | None = None,
+) -> VerificationReport:
+    """Check <Ax - Ay, x - y> >= -u|Ax - Ay|^2 + v|x - y|^2 on every pair."""
+    if not (np.isfinite(v) and v > 0.0):
+        raise ValidationError("cocoercivity constant v must be finite and positive")
+    if not (np.isfinite(u) and u >= 0.0):
+        raise ValidationError("cocoercivity constant u must be finite and nonnegative")
+    return check_pairs(
+        op, f"relaxed_cocoercive(u={u:g},v={v:g})", pairs, seed,
+        lambda z, dz: -u * rowdot(dz, dz) + v * rowdot(z, z) - rowdot(dz, z) - tolerance,
+    )
+
+
+def sampled_check_expansive(
+    op: AffineOperator,
+    gamma: float,
+    pairs,
+    tolerance: float = SAMPLED_TOLERANCE,
+    seed: int | None = None,
+) -> VerificationReport:
+    """Check |A x - A y| >= gamma * |x - y| - tolerance on every pair."""
+    if not (np.isfinite(gamma) and gamma > 0.0):
+        raise ValidationError("expansiveness modulus gamma must be finite and positive")
+    return check_pairs(
+        op, f"expansive(gamma={gamma:g})", pairs, seed,
+        lambda z, dz: gamma * np.linalg.norm(z, axis=1) - np.linalg.norm(dz, axis=1) - tolerance,
+    )
+
+
+def sampled_lemma_cocoercive_expansive(
+    op: AffineOperator,
+    m: float,
+    v: float,
+    eps: float,
+    pairs,
+    tolerance: float = SAMPLED_TOLERANCE,
+    seed: int | None = None,
+) -> tuple[VerificationReport, float]:
+    """Derive the expansiveness modulus gamma = v - m*eps^2 of a relaxed
+    (m, v)-cocoercive, eps-Lipschitz operator and verify it on sampled pairs.
+
+    Checks both |Ax - Ay| >= gamma|x - y| and the intermediate squared form
+    <Ax - Ay, x - y> >= gamma|x - y|^2 (the first follows from the second by
+    Cauchy-Schwarz).  Returns (report, gamma); when gamma <= 0 the hypothesis
+    fails and the report status is PreconditionViolated.
+    """
+    if not (np.isfinite(m) and m >= 0.0):
+        raise ValidationError("cocoercivity constant m must be finite and nonnegative")
+    if not (np.isfinite(v) and v > 0.0 and np.isfinite(eps) and eps > 0.0):
+        raise ValidationError("constants v and eps must be finite and positive")
+    # Float products, not eps**2: a huge eps gives gamma = -inf, not OverflowError.
+    gamma = v - m * eps * eps
+    name = f"cocoercive_expansive(m={m:g},v={v:g},eps={eps:g})"
+    if gamma <= 0.0:
+        return VerificationReport(
+            property=name,
+            status=PRECONDITION_VIOLATED,
+            witness=None,
+            samples_used=0,
+            max_violation=0.0,
+            seed=seed,
+            note=f"derived modulus v - m*eps^2 = {gamma:g} is not positive",
+        ), gamma
+
+    def deficits(z, dz):
+        norm_z = np.linalg.norm(z, axis=1)
+        return np.concatenate([
+            gamma * norm_z - np.linalg.norm(dz, axis=1) - tolerance,
+            gamma * norm_z**2 - rowdot(dz, z) - tolerance,
+        ])
+
+    return check_pairs(op, name, pairs, seed, deficits), gamma
+
+
+def sampled_check_monotone_chain(
+    op: AffineOperator,
+    m: float,
+    v: float,
+    eps: float,
+    pairs,
+    tolerance: float = SAMPLED_TOLERANCE,
+    seed: int | None = None,
+) -> VerificationReport:
+    """Check the squared-form monotonicity chain on every pair:
+    <Ax - Ay, x - y> >= -m|Ax - Ay|^2 + v|x - y|^2 and <Ax - Ay, x - y> >= 0."""
+    if not (np.isfinite(m) and m >= 0.0):
+        raise ValidationError("cocoercivity constant m must be finite and nonnegative")
+    if not (np.isfinite(v) and np.isfinite(eps)):
+        raise ValidationError("constants v and eps must be finite")
+
+    def deficits(z, dz):
+        inner = rowdot(dz, z)
+        return np.concatenate([
+            -m * rowdot(dz, dz) + v * rowdot(z, z) - inner - tolerance,
+            -inner - tolerance,
+        ])
+
+    name = f"monotone_chain(m={m:g},v={v:g},eps={eps:g})"
+    return check_pairs(op, name, pairs, seed, deficits)

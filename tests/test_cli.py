@@ -134,6 +134,10 @@ class TestRunScenario:
         payload = read_reports(tmp_path, "failing")
         assert payload["reports"][0]["status"] == "Fail"
         assert payload["reports"][0]["witness"] is not None
+        # the witness pair is (w, 0) for a unit w: here the weak axis (0, 1)
+        wx, wy = payload["reports"][0]["witness"]
+        np.testing.assert_allclose(np.abs(wx), [0.0, 1.0], atol=1e-12)
+        assert wy == [0.0, 0.0]
 
     def test_divergence_exits_4(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
@@ -159,11 +163,15 @@ class TestRunScenario:
         assert cli.run_scenario(doc_path, tmp_path) == 3
 
     def test_overrides_echoed_and_applied(self, tmp_path):
-        doc_path = write_scenario(tmp_path, name="override", tasks=["verify_lemma22"])
+        doc_path = write_scenario(tmp_path, name="override",
+                                  tasks=["verify_lemma22", "verify_lemma31"])
         assert cli.run_scenario(doc_path, tmp_path, seed=99, max_iters=777) == 0
         payload = read_reports(tmp_path, "override")
         assert payload["overrides"] == {"seed": 99, "max_iters": 777}
-        assert payload["reports"][0]["seed"] == 99
+        # the exact pairwise checks draw nothing and carry no seed; the
+        # singleton report echoes the overridden seed
+        assert [r["seed"] for r in payload["reports"]] == [None, None, None, 99]
+        assert payload["reports"][-1]["property"].startswith("singleton_vi")
 
     def test_brute_force_task_reports_solutions(self, tmp_path):
         doc_path = write_scenario(tmp_path, name="bf", tasks=["brute_force"])
@@ -189,7 +197,7 @@ class TestRunScenario:
         assert cli.run_scenario(cli.golden_path("box_diag"), tmp_path) == 0
         assert len(calls) == 1
 
-    def test_golden_box_draws_sample_pairs_once(self, tmp_path, monkeypatch):
+    def test_golden_box_never_draws_sample_pairs(self, tmp_path, monkeypatch):
         calls = []
         draw = cli.sample_pairs
 
@@ -201,7 +209,7 @@ class TestRunScenario:
         doc = json.loads(cli.golden_path("box_diag").read_text())
         assert {"verify_lemma22", "verify_lemma31"} <= set(doc["tasks"])
         assert cli.run_scenario(cli.golden_path("box_diag"), tmp_path) == 0
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("name", ["../evil", "a/b", "", ".", ".."])
     def test_name_must_be_plain_stem(self, tmp_path, name):
@@ -283,6 +291,43 @@ class TestRunScenario:
         payload = read_reports(tmp_path, "hugeeps")
         assert payload["reports"][0]["status"] == "PreconditionViolated"
         assert payload["tasks"]["verify_lemma22"]["gamma"] == -np.inf
+
+    @pytest.mark.parametrize("task", ["verify_lemma31", "verify_lemma22"])
+    def test_huge_scale_operator_passes(self, tmp_path, task):
+        # 1e152 I satisfies every property exactly; an absolute tolerance lost
+        # it to rounding of |Mz|^2 ~ 1e304 and exited 1
+        operator = {"matrix": [[1e152, 0.0], [0.0, 1e152]], "offset": [0.0, 0.0]}
+        doc_path = write_scenario(tmp_path, name="scaled", operator=operator, tasks=[task])
+        assert cli.run_scenario(doc_path, tmp_path) == 0
+        reports = read_reports(tmp_path, "scaled")["reports"]
+        assert reports and all(r["status"] == "Pass" for r in reports)
+
+    def test_overflowing_quadratic_form_exits_3_naming_cause(self, tmp_path):
+        # M^T M = 1e310 I overflows; the check must not pass on a NaN spectrum
+        operator = {"matrix": [[1e155, 0.0], [0.0, 1e155]], "offset": [0.0, 0.0]}
+        doc_path = write_scenario(tmp_path, name="overflow", operator=operator,
+                                  tasks=["verify_lemma22"],
+                                  moduli={"m": 0.0, "v": 1e155, "eps": 1e155})
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 3
+        assert sorted(p.name for p in out_dir.iterdir()) == ["overflow.reports.json"]
+        payload = read_reports(out_dir, "overflow")
+        assert payload["exit_status"] == 3
+        assert "quadratic form overflows" in payload["error"]
+        assert "cocoercive_expansive" in payload["error"]
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_goldens_pass_every_verify_report_exactly(self, tmp_path, seed):
+        for name in ("box_identity", "box_diag", "box_rotation", "simplex_rotation"):
+            assert cli.run_scenario(cli.golden_path(name), tmp_path, seed=seed) == 0
+            reports = read_reports(tmp_path, name)["reports"]
+            assert reports and all(r["status"] == "Pass" for r in reports)
+            pairwise = [r for r in reports if not r["property"].startswith("singleton_vi")]
+            assert len(pairwise) == 3
+            for r in pairwise:
+                assert (r["samples_used"], r["seed"], r["witness"]) == (0, None, None)
+                assert r["note"].startswith("exact")
+                assert r["max_violation"] <= 0.0
 
     def test_negative_seed_override_exits_3(self, tmp_path):
         doc_path = write_scenario(tmp_path, name="negseed", tasks=["verify_lemma22"])

@@ -20,6 +20,9 @@ from oracles import (
     power_sigma_max,
     power_sigma_min,
     random_monotone_operator,
+    sampled_check_expansive,
+    sampled_check_ism,
+    sampled_check_relaxed_cocoercive,
 )
 
 IDENTITY = AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])
@@ -144,41 +147,61 @@ class TestCertifyModuli:
             assert np.all(lhs >= rhs - 1e-9)
 
 
+def assert_unit_witness(report, direction):
+    """A Fail witness is the pair (w, 0) for a unit w along ``direction``."""
+    wx, wy = report.witness
+    np.testing.assert_array_equal(wy, np.zeros_like(wy))
+    assert np.linalg.norm(wx) == pytest.approx(1.0, abs=1e-12)
+    direction = np.asarray(direction, dtype=float)
+    assert abs(wx @ direction) == pytest.approx(np.linalg.norm(direction), abs=1e-9)
+
+
 class TestCheckIsm:
     def test_identity_any_alpha_one(self):
-        xs, ys = sample_pairs(2, count=500, seed=1)
-        report = check_ism(IDENTITY, 1.0, (xs, ys))
+        # M_s - alpha M^T M = I - I is exactly zero
+        report = check_ism(IDENTITY, 1.0)
         assert report.status == "Pass"
         assert report.witness is None
-        assert report.samples_used == 500
+        assert report.samples_used == 0
+        sampled = sampled_check_ism(IDENTITY, 1.0, sample_pairs(2, count=500, seed=1))
+        assert sampled.status == "Pass"
+        assert sampled.witness is None
+        assert sampled.samples_used == 500
 
     def test_certified_alpha_passes_bulk(self):
-        xs, ys = sample_pairs(2, count=10_000, seed=2)
-        report = check_ism(DIAG, 0.25, (xs, ys))
+        report = check_ism(DIAG, 0.25)
         assert report.status == "Pass"
         assert report.max_violation <= 0.0
+        sampled = sampled_check_ism(DIAG, 0.25, sample_pairs(2, count=10_000, seed=2))
+        assert sampled.status == "Pass"
+        assert sampled.max_violation <= 0.0
 
     def test_too_large_alpha_fails_with_witness(self):
-        # <Mz, z> = 2, |Mz|^2 = 4, and 0.6 * 4 = 2.4 > 2 for z = (1, 0)
-        report = check_ism(DIAG, 0.6, [([1.0, 0.0], [0.0, 0.0])])
+        # <Mz, z> = 2, |Mz|^2 = 4, and 0.6 * 4 = 2.4 > 2 for z = (1, 0):
+        # Q = diag(2 - 2.4, 1 - 0.6) has lambda_min = -0.4 along (1, 0)
+        report = check_ism(DIAG, 0.6)
         assert report.status == "Fail"
-        wx, wy = report.witness
+        assert_unit_witness(report, [1.0, 0.0])
+        assert report.max_violation == pytest.approx(0.4, abs=1e-8)
+        sampled = sampled_check_ism(DIAG, 0.6, [([1.0, 0.0], [0.0, 0.0])])
+        assert sampled.status == "Fail"
+        wx, wy = sampled.witness
         np.testing.assert_array_equal(wx, [1.0, 0.0])
         np.testing.assert_array_equal(wy, [0.0, 0.0])
-        assert report.max_violation == pytest.approx(0.4, abs=1e-8)
+        assert sampled.max_violation == pytest.approx(0.4, abs=1e-8)
 
     def test_empty_pairs_refused(self):
         with pytest.raises(ValidationError):
-            check_ism(DIAG, 0.25, [])
+            sampled_check_ism(DIAG, 0.25, [])
 
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ValidationError):
-            check_ism(DIAG, 0.0, [([1.0, 0.0], [0.0, 0.0])])
+            check_ism(DIAG, 0.0)
 
     @pytest.mark.parametrize("alpha", NON_FINITE)
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ValidationError, match="alpha must be finite"):
-            check_ism(IDENTITY, alpha, sample_pairs(2, count=10, seed=1))
+            check_ism(IDENTITY, alpha)
 
     @pytest.mark.parametrize("dim", range(1, 11))
     def test_certified_alpha_passes_every_dim(self, dim):
@@ -186,86 +209,165 @@ class TestCheckIsm:
         op = random_monotone_operator(rng, dim)
         alpha = certify_moduli(op).ism_alpha
         assert alpha is not None
-        report = check_ism(op, alpha, sample_pairs(dim, count=10_000, seed=dim))
-        assert report.status == "Pass"
+        assert check_ism(op, alpha).status == "Pass"
+        sampled = sampled_check_ism(op, alpha, sample_pairs(dim, count=10_000, seed=dim))
+        assert sampled.status == "Pass"
 
 
 class TestCheckRelaxedCocoercive:
     def test_identity_equality_case(self):
-        xs, ys = sample_pairs(2, count=500, seed=3)
-        assert check_relaxed_cocoercive(IDENTITY, 0.0, 1.0, (xs, ys)).status == "Pass"
+        assert check_relaxed_cocoercive(IDENTITY, 0.0, 1.0).status == "Pass"
+        pairs = sample_pairs(2, count=500, seed=3)
+        assert sampled_check_relaxed_cocoercive(IDENTITY, 0.0, 1.0, pairs).status == "Pass"
 
     def test_slack_term_only_weakens(self):
         # strongly monotone implies relaxed cocoercive for any u >= 0
-        xs, ys = sample_pairs(2, count=500, seed=4)
-        assert check_relaxed_cocoercive(IDENTITY, 0.5, 1.0, (xs, ys)).status == "Pass"
+        assert check_relaxed_cocoercive(IDENTITY, 0.5, 1.0).status == "Pass"
+        pairs = sample_pairs(2, count=500, seed=4)
+        assert sampled_check_relaxed_cocoercive(IDENTITY, 0.5, 1.0, pairs).status == "Pass"
 
     def test_v_above_modulus_fails(self):
         # <Mz, z> = 1 < 1.5 = v |z|^2 for z = (0, 1)
-        report = check_relaxed_cocoercive(DIAG, 0.0, 1.5, [([0.0, 1.0], [0.0, 0.0])])
+        report = check_relaxed_cocoercive(DIAG, 0.0, 1.5)
         assert report.status == "Fail"
         assert report.witness is not None
+        assert_unit_witness(report, [0.0, 1.0])
+        sampled = sampled_check_relaxed_cocoercive(DIAG, 0.0, 1.5, [([0.0, 1.0], [0.0, 0.0])])
+        assert sampled.status == "Fail"
+        assert sampled.witness is not None
 
     def test_parameter_validation(self):
-        pair = [([0.0, 1.0], [0.0, 0.0])]
         with pytest.raises(ValidationError):
-            check_relaxed_cocoercive(DIAG, -0.1, 1.0, pair)
+            check_relaxed_cocoercive(DIAG, -0.1, 1.0)
         with pytest.raises(ValidationError):
-            check_relaxed_cocoercive(DIAG, 0.0, 0.0, pair)
+            check_relaxed_cocoercive(DIAG, 0.0, 0.0)
         with pytest.raises(ValidationError):
-            check_relaxed_cocoercive(DIAG, 0.0, 1.0, [])
+            sampled_check_relaxed_cocoercive(DIAG, 0.0, 1.0, [])
 
     @pytest.mark.parametrize("u", NON_FINITE)
     def test_non_finite_u_rejected(self, u):
         with pytest.raises(ValidationError, match="u must be finite"):
-            check_relaxed_cocoercive(IDENTITY, u, 1.0, sample_pairs(2, count=10, seed=1))
+            check_relaxed_cocoercive(IDENTITY, u, 1.0)
 
     @pytest.mark.parametrize("v", NON_FINITE)
     def test_non_finite_v_rejected(self, v):
         with pytest.raises(ValidationError, match="v must be finite"):
-            check_relaxed_cocoercive(IDENTITY, 0.0, v, sample_pairs(2, count=10, seed=1))
+            check_relaxed_cocoercive(IDENTITY, 0.0, v)
 
 
 class TestCheckExpansive:
     def test_identity(self):
-        xs, ys = sample_pairs(2, count=500, seed=5)
-        assert check_expansive(IDENTITY, 1.0, (xs, ys)).status == "Pass"
+        assert check_expansive(IDENTITY, 1.0).status == "Pass"
+        pairs = sample_pairs(2, count=500, seed=5)
+        assert sampled_check_expansive(IDENTITY, 1.0, pairs).status == "Pass"
 
     def test_rotation_at_nominal_modulus(self):
-        xs, ys = sample_pairs(2, count=500, seed=6)
-        assert check_expansive(ROTATION, 1.414, (xs, ys)).status == "Pass"
+        assert check_expansive(ROTATION, 1.414).status == "Pass"
+        pairs = sample_pairs(2, count=500, seed=6)
+        assert sampled_check_expansive(ROTATION, 1.414, pairs).status == "Pass"
 
     def test_weak_direction_fails(self):
-        # |Mz| = 0.1 < 1 = gamma |z| for z = (0, 1)
+        # |Mz| = 0.1 < 1 = gamma |z| for z = (0, 1); in squared form
+        # Q = M^T M - I = diag(3, -0.99)
         op = AffineOperator(matrix=[[2.0, 0.0], [0.0, 0.1]], offset=[0.0, 0.0])
-        report = check_expansive(op, 1.0, [([0.0, 1.0], [0.0, 0.0])])
+        report = check_expansive(op, 1.0)
         assert report.status == "Fail"
-        assert report.max_violation == pytest.approx(0.9, abs=1e-8)
+        assert report.max_violation == pytest.approx(0.99, abs=1e-8)
+        assert_unit_witness(report, [0.0, 1.0])
+        sampled = sampled_check_expansive(op, 1.0, [([0.0, 1.0], [0.0, 0.0])])
+        assert sampled.status == "Fail"
+        assert sampled.max_violation == pytest.approx(0.9, abs=1e-8)
 
     def test_empty_pairs_refused(self):
         with pytest.raises(ValidationError):
-            check_expansive(DIAG, 1.0, [])
+            sampled_check_expansive(DIAG, 1.0, [])
 
     @pytest.mark.parametrize("gamma", NON_FINITE)
     def test_non_finite_gamma_rejected(self, gamma):
         with pytest.raises(ValidationError, match="gamma must be finite"):
-            check_expansive(IDENTITY, gamma, sample_pairs(2, count=10, seed=1))
+            check_expansive(IDENTITY, gamma)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sigma_min_is_sharp(self, seed):
-        # gamma = sigma_min passes everywhere; inflating it by 1e-3 fails on a
-        # pair aligned with the minimal singular vector.
+        # gamma = sigma_min passes everywhere; inflating it by 1e-3 fails, with
+        # the witness along the minimal singular vector.
         rng = np.random.default_rng(700 + seed)
         matrix = rng.uniform(-1.0, 1.0, size=(3, 3)) + 1.5 * np.eye(3)
         op = AffineOperator(matrix=matrix, offset=np.zeros(3))
         gamma = certify_moduli(op).expansiveness
         assert gamma > 1e-3
+        assert check_expansive(op, gamma).status == "Pass"
         xs, ys = sample_pairs(3, count=2000, seed=seed)
-        assert check_expansive(op, gamma, (xs, ys)).status == "Pass"
+        assert sampled_check_expansive(op, gamma, (xs, ys)).status == "Pass"
         direction = min_singular_vector(matrix)
-        aligned = [(direction, np.zeros(3))]
-        report = check_expansive(op, gamma * (1.0 + 1e-3), aligned)
+        report = check_expansive(op, gamma * (1.0 + 1e-3))
         assert report.status == "Fail"
+        assert_unit_witness(report, direction)
+        aligned = [(direction, np.zeros(3))]
+        assert sampled_check_expansive(op, gamma * (1.0 + 1e-3), aligned).status == "Fail"
+
+
+def symmetric_pd(rng, dim):
+    q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    return q @ np.diag(rng.uniform(0.5, 3.0, dim)) @ q.T
+
+
+class TestExactTightness:
+    """At a tight modulus Q is singular, so the verdict rests on the relative
+    tolerance: the tight constant must pass and a 1e-6 overstatement fail."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 50])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tight_ism_alpha(self, dim, seed):
+        # symmetric M: M - alpha M^2 >= 0 iff alpha <= 1 / lambda_max(M)
+        matrix = symmetric_pd(np.random.default_rng(1100 + 10 * dim + seed), dim)
+        op = AffineOperator(matrix=matrix, offset=np.zeros(dim))
+        lams, vecs = np.linalg.eigh(matrix)
+        alpha = 1.0 / lams[-1]
+        assert check_ism(op, alpha).status == "Pass"
+        report = check_ism(op, alpha * (1.0 + 1e-6))
+        assert report.status == "Fail"
+        if dim > 1:
+            assert_unit_witness(report, vecs[:, -1])
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 50])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tight_expansive_gamma(self, dim, seed):
+        rng = np.random.default_rng(1200 + 10 * dim + seed)
+        matrix = rng.uniform(-1.0, 1.0, size=(dim, dim)) + 2.0 * np.eye(dim)
+        op = AffineOperator(matrix=matrix, offset=np.zeros(dim))
+        gamma = power_sigma_min(matrix)
+        assert check_expansive(op, gamma).status == "Pass"
+        report = check_expansive(op, gamma * (1.0 + 1e-6))
+        assert report.status == "Fail"
+        assert_unit_witness(report, min_singular_vector(matrix))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8, 1e150])
+    def test_verdicts_do_not_depend_on_scale(self, scale):
+        # ism(alpha) and expansive(gamma) for M hold iff ism(alpha / c) and
+        # expansive(c gamma) hold for c M
+        base = symmetric_pd(np.random.default_rng(1300), 4)
+        op = AffineOperator(matrix=scale * base, offset=np.zeros(4))
+        lams = np.linalg.eigvalsh(base)
+        alpha, gamma = 1.0 / (scale * lams[-1]), scale * lams[0]
+        assert check_ism(op, alpha).status == "Pass"
+        assert check_ism(op, alpha * (1.0 + 1e-6)).status == "Fail"
+        assert check_expansive(op, gamma).status == "Pass"
+        assert check_expansive(op, gamma * (1.0 + 1e-6)).status == "Fail"
+
+    def test_overflowing_form_never_passes(self):
+        # M^T M = 1e310 I overflows: eigvalsh would see inf (and report NaN),
+        # which a bare lambda < -tol test would let pass
+        op = AffineOperator(matrix=1e155 * np.eye(2), offset=[0.0, 0.0])
+        with pytest.raises(ValidationError, match="overflows"):
+            check_expansive(op, 1.0)
+        with pytest.raises(ValidationError, match="overflows"):
+            check_ism(op, 1e-155)
+        with pytest.raises(ValidationError, match="overflows"):
+            check_relaxed_cocoercive(op, 1.0, 1.0)
+        # a form without M^T M keeps its exact verdict
+        assert check_relaxed_cocoercive(op, 0.0, 1e155).status == "Pass"
+        assert check_relaxed_cocoercive(op, 0.0, 1.1e155).status == "Fail"
 
 
 class TestMonotonicityChainProperty:

@@ -12,7 +12,7 @@ from vikit.errors import (
     DivergenceError,
     ValidationError,
 )
-from vikit.geometry import AffineSubspace, Ball, Box, Halfspace, Simplex, contains
+from vikit.geometry import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex, contains
 from vikit.operators import AffineOperator, certify_moduli, evaluate
 from vikit.solvers import (
     AffineAverage,
@@ -28,6 +28,7 @@ from vikit.solvers import (
 
 from oracles import (
     box_quadratic_grid_argmin,
+    literal_projection_apply,
     literal_run,
     random_monotone_operator,
     sample_in_set,
@@ -328,9 +329,11 @@ def test_divergence_error_carries_iteration_index():
 
 
 def literal_solve(monkeypatch, solve, *args, **kwargs):
-    """``solve`` run on the reference loop that re-checks every input."""
+    """``solve`` run on the reference loop that re-checks every input, with a
+    projection map S that re-checks every point it maps."""
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "_run", literal_run)
+        patch.setattr(ProjectionOnto, "apply", literal_projection_apply)
         return solve(*args, **kwargs)
 
 
@@ -419,6 +422,33 @@ class TestReferenceLoop:
             for inst in instances[:len(LOOP_VARIANTS)]}
         assert statuses == {solvers.CONVERGED, solvers.MAX_ITERS}
 
+    @pytest.mark.parametrize("map_set", SET_TYPES)
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_projection_maps_match_reference_loop(self, monkeypatch, map_set, n):
+        rng = np.random.default_rng(2000 + 10 * n + SET_TYPES.index(map_set))
+        op = random_monotone_operator(rng, n)
+        cfg = IterationConfig(step=certify_moduli(op).ism_alpha, max_iters=300)
+        args = (op, random_set(rng, Box, n), ProjectionOnto(random_set(rng, map_set, n)), cfg,
+                3.0 * rng.normal(size=n))
+        kwargs = {"anchor": rng.normal(size=n), "x_ref": rng.normal(size=n)}
+        assert_same_trace(solve_halpern(*args, **kwargs),
+                          literal_solve(monkeypatch, solve_halpern, *args, **kwargs))
+
+    def test_projection_map_is_checked_once_per_solve(self, monkeypatch):
+        calls = []
+        check = ConvexSet._check
+
+        def counting_check(self, x):
+            calls.append(type(self).__name__)
+            return check(self, x)
+
+        monkeypatch.setattr(ConvexSet, "_check", counting_check)
+        s_map = ProjectionOnto(Ball(center=[0.5, 0.5], radius=0.25))
+        trace = solve_halpern(shifted_identity([0.9, 0.9]), UNIT_BOX, s_map,
+                              IterationConfig(step=1.0, max_iters=200), [0.0, 0.0])
+        assert trace.rows > 50
+        assert calls == ["Box"]  # the start point's projection only
+
     def test_goldens_match_reference_loop(self, monkeypatch, golden_scenarios):
         for sc in golden_scenarios:
             pg_args = (sc.operator, sc.set_, sc.config, sc.x0)
@@ -473,6 +503,16 @@ class TestLoopErrors:
         with pytest.raises(DimensionMismatchError, match="^vector has dimension 3, expected 2$"):
             solve_projected_gradient(op, UNIT_BOX, IterationConfig(step=1.0), [0.0, 0.0],
                                      x_ref=[0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [0.5, 0.5]])
+    def test_projection_map_of_the_wrong_dimension(self, monkeypatch, x0):
+        # checked before the first iteration, so also when x0 solves the VI
+        op = shifted_identity([0.5, 0.5])
+        s_map = ProjectionOnto(Ball(center=[0.0, 0.0, 0.0], radius=1.0))
+        for solve in (solve_halpern, lambda *a: literal_solve(monkeypatch, solve_halpern, *a)):
+            with pytest.raises(DimensionMismatchError,
+                               match="^map_s set has dimension 3, expected 2$"):
+                solve(op, UNIT_BOX, s_map, IterationConfig(step=1.0), x0)
 
     def test_map_that_changes_the_dimension(self):
         # (1 - t) x + t c broadcasts a 1-vector x against a 3-vector c

@@ -7,7 +7,14 @@ import pytest
 
 from vikit.errors import ValidationError
 from vikit.geometry import Ball, Box, Simplex
-from vikit.operators import AffineOperator, certify_moduli, check_ism, sample_pairs
+from vikit.operators import (
+    AffineOperator,
+    certify_moduli,
+    check_expansive,
+    check_ism,
+    check_relaxed_cocoercive,
+    sample_pairs,
+)
 from vikit.solvers import IterationConfig, solve_projected_gradient
 from vikit.verification import (
     BruteForceGrid,
@@ -18,7 +25,17 @@ from vikit.verification import (
     lemma_cocoercive_expansive,
 )
 
-from oracles import diameter, literal_grid_vi, literal_vi_gaps, random_monotone_operator
+from oracles import (
+    diameter,
+    literal_grid_vi,
+    literal_vi_gaps,
+    random_monotone_operator,
+    sampled_check_expansive,
+    sampled_check_ism,
+    sampled_check_monotone_chain,
+    sampled_check_relaxed_cocoercive,
+    sampled_lemma_cocoercive_expansive,
+)
 
 UNIT_BOX = Box(lower=[0.0, 0.0], upper=[1.0, 1.0])
 IDENTITY_OP = AffineOperator(matrix=np.eye(2), offset=[-0.5, -0.5])
@@ -241,111 +258,129 @@ class TestSingletonCheck:
 
 class TestLemmaCocoerciveExpansive:
     def test_derived_modulus(self):
-        xs, ys = sample_pairs(2, count=2000, seed=1)
-        report, gamma = lemma_cocoercive_expansive(
-            AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0]), 0.5, 1.0, 1.0, (xs, ys)
-        )
+        op = AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])
+        report, gamma = lemma_cocoercive_expansive(op, 0.5, 1.0, 1.0)
         assert gamma == pytest.approx(0.5)
         assert report.status == "Pass"
+        sampled, _ = sampled_lemma_cocoercive_expansive(op, 0.5, 1.0, 1.0,
+                                                        sample_pairs(2, count=2000, seed=1))
+        assert sampled.status == "Pass"
 
     def test_strongly_monotone_case(self):
         # m = 0 reduces to v-strong monotonicity: gamma = v
-        xs, ys = sample_pairs(2, count=2000, seed=2)
-        report, gamma = lemma_cocoercive_expansive(DIAG_OP, 0.0, 1.0, 2.0, (xs, ys))
+        report, gamma = lemma_cocoercive_expansive(DIAG_OP, 0.0, 1.0, 2.0)
         assert gamma == 1.0
         assert report.status == "Pass"
+        sampled, _ = sampled_lemma_cocoercive_expansive(DIAG_OP, 0.0, 1.0, 2.0,
+                                                        sample_pairs(2, count=2000, seed=2))
+        assert sampled.status == "Pass"
 
     def test_boundary_hypothesis_is_precondition_violation(self):
-        xs, ys = sample_pairs(2, count=10, seed=3)
-        report, gamma = lemma_cocoercive_expansive(DIAG_OP, 1.0, 1.0, 1.0, (xs, ys))
+        report, gamma = lemma_cocoercive_expansive(DIAG_OP, 1.0, 1.0, 1.0)
         assert gamma == 0.0
         assert report.status == "PreconditionViolated"
         assert report.witness is None
         assert report.samples_used == 0
 
     def test_overstated_constants_fail_with_witness(self):
-        report, gamma = lemma_cocoercive_expansive(
-            DIAG_OP, 0.0, 3.0, 2.0, [([0.0, 1.0], [0.0, 0.0])]
-        )
+        # gamma = 3: |Mz|^2 - 9|z|^2 and <Mz, z> - 3|z|^2 are both most
+        # negative along z = (0, 1), by -8 and -2
+        report, gamma = lemma_cocoercive_expansive(DIAG_OP, 0.0, 3.0, 2.0)
         assert gamma == 3.0
         assert report.status == "Fail"
         assert report.witness is not None
+        wx, wy = report.witness
+        np.testing.assert_allclose(np.abs(wx), [0.0, 1.0], atol=1e-12)
+        np.testing.assert_array_equal(wy, [0.0, 0.0])
+        assert report.max_violation == pytest.approx(8.0, abs=1e-8)
+        sampled, _ = sampled_lemma_cocoercive_expansive(DIAG_OP, 0.0, 3.0, 2.0,
+                                                        [([0.0, 1.0], [0.0, 0.0])])
+        assert sampled.status == "Fail"
+        assert sampled.witness is not None
 
     def test_empty_pairs_refused(self):
         with pytest.raises(ValidationError):
-            lemma_cocoercive_expansive(DIAG_OP, 0.0, 1.0, 2.0, [])
+            sampled_lemma_cocoercive_expansive(DIAG_OP, 0.0, 1.0, 2.0, [])
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValidationError):
-            lemma_cocoercive_expansive(DIAG_OP, -0.5, 1.0, 2.0, [([0.0, 1.0], [0.0, 0.0])])
+            lemma_cocoercive_expansive(DIAG_OP, -0.5, 1.0, 2.0)
 
     @pytest.mark.parametrize("m", NON_FINITE)
     def test_non_finite_m_rejected(self, m):
         with pytest.raises(ValidationError, match="m must be finite"):
-            lemma_cocoercive_expansive(IDENTITY_OP, m, 1.0, 2.0, sample_pairs(2, count=10))
+            lemma_cocoercive_expansive(IDENTITY_OP, m, 1.0, 2.0)
 
     @pytest.mark.parametrize("v", NON_FINITE)
     def test_non_finite_v_rejected(self, v):
         with pytest.raises(ValidationError, match="must be finite"):
-            lemma_cocoercive_expansive(IDENTITY_OP, 0.0, v, 2.0, sample_pairs(2, count=10))
+            lemma_cocoercive_expansive(IDENTITY_OP, 0.0, v, 2.0)
 
     @pytest.mark.parametrize("eps", NON_FINITE)
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ValidationError, match="must be finite"):
-            lemma_cocoercive_expansive(IDENTITY_OP, 0.0, 1.0, eps, sample_pairs(2, count=10))
+            lemma_cocoercive_expansive(IDENTITY_OP, 0.0, 1.0, eps)
 
 
 class TestMonotoneChain:
     def test_identity(self):
-        xs, ys = sample_pairs(2, count=1000, seed=4)
         op = AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])
-        assert check_monotone_chain(op, 0.0, 1.0, 1.0, (xs, ys)).status == "Pass"
+        assert check_monotone_chain(op, 0.0, 1.0, 1.0).status == "Pass"
+        pairs = sample_pairs(2, count=1000, seed=4)
+        assert sampled_check_monotone_chain(op, 0.0, 1.0, 1.0, pairs).status == "Pass"
 
     def test_scaled_rotation_with_exact_modulus(self):
-        xs, ys = sample_pairs(2, count=1000, seed=5)
         op = AffineOperator(matrix=[[1.0, -1.0], [1.0, 1.0]], offset=[0.0, 0.0])
-        report = check_monotone_chain(op, 0.0, 1.0, np.sqrt(2.0), (xs, ys))
+        report = check_monotone_chain(op, 0.0, 1.0, np.sqrt(2.0))
         assert report.status == "Pass"
+        pairs = sample_pairs(2, count=1000, seed=5)
+        assert sampled_check_monotone_chain(op, 0.0, 1.0, np.sqrt(2.0), pairs).status == "Pass"
 
     def test_indefinite_operator_fails(self):
         op = AffineOperator(matrix=[[1.0, 0.0], [0.0, -1.0]], offset=[0.0, 0.0])
-        report = check_monotone_chain(op, 0.0, 0.1, 1.0, [([0.0, 1.0], [0.0, 0.0])])
+        report = check_monotone_chain(op, 0.0, 0.1, 1.0)
         assert report.status == "Fail"
         wx, wy = report.witness
+        np.testing.assert_allclose(np.abs(wx), [0.0, 1.0], atol=1e-12)
+        np.testing.assert_array_equal(wy, [0.0, 0.0])
+        sampled = sampled_check_monotone_chain(op, 0.0, 0.1, 1.0, [([0.0, 1.0], [0.0, 0.0])])
+        assert sampled.status == "Fail"
+        wx, wy = sampled.witness
         np.testing.assert_array_equal(wx, [0.0, 1.0])
         np.testing.assert_array_equal(wy, [0.0, 0.0])
 
     @pytest.mark.parametrize("m", NON_FINITE)
     def test_non_finite_m_rejected(self, m):
         with pytest.raises(ValidationError, match="m must be finite"):
-            check_monotone_chain(IDENTITY_OP, m, 1.0, 1.0, sample_pairs(2, count=10))
+            check_monotone_chain(IDENTITY_OP, m, 1.0, 1.0)
 
     @pytest.mark.parametrize("v", NON_FINITE)
     def test_non_finite_v_rejected(self, v):
         with pytest.raises(ValidationError, match="v and eps must be finite"):
-            check_monotone_chain(IDENTITY_OP, 0.0, v, 1.0, sample_pairs(2, count=10))
+            check_monotone_chain(IDENTITY_OP, 0.0, v, 1.0)
 
     @pytest.mark.parametrize("eps", NON_FINITE)
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ValidationError, match="v and eps must be finite"):
-            check_monotone_chain(IDENTITY_OP, 0.0, 1.0, eps, sample_pairs(2, count=10))
+            check_monotone_chain(IDENTITY_OP, 0.0, 1.0, eps)
 
 
 class TestLemmasEndToEnd:
     def test_cocoercive_expansive_and_singleton_on_goldens(self, golden_oracle):
         # positive derived modulus implies both lemma conclusions hold:
-        # sampled expansiveness passes and the grid oracle certifies a singleton
+        # exact (and sampled) expansiveness passes and the grid oracle certifies
+        # a singleton
         for name in ("box_identity", "box_diag", "box_rotation"):
             sc = golden_oracle[name]["scenario"]
             certified = certify_moduli(sc.operator)
             for m_const in (0.0, 0.25 * certified.strong_monotonicity / certified.lipschitz**2):
-                pairs = sample_pairs(2, count=5000, seed=sc.seed)
-                report, gamma = lemma_cocoercive_expansive(
-                    sc.operator, m_const, certified.strong_monotonicity,
-                    certified.lipschitz, pairs,
-                )
+                constants = (m_const, certified.strong_monotonicity, certified.lipschitz)
+                report, gamma = lemma_cocoercive_expansive(sc.operator, *constants)
                 assert gamma > 0.0
                 assert report.status == "Pass"
+                pairs = sample_pairs(2, count=5000, seed=sc.seed)
+                sampled, _ = sampled_lemma_cocoercive_expansive(sc.operator, *constants, pairs)
+                assert sampled.status == "Pass"
             assert golden_oracle[name]["singleton"].status == "Pass"
 
     def test_ism_expansive_singleton_on_goldens(self, golden_oracle):
@@ -354,8 +389,9 @@ class TestLemmasEndToEnd:
             certified = certify_moduli(sc.operator)
             assert certified.ism_alpha is not None
             assert certified.expansiveness > 0.0
+            assert check_ism(sc.operator, certified.ism_alpha).status == "Pass"
             pairs = sample_pairs(2, count=5000, seed=sc.seed)
-            assert check_ism(sc.operator, certified.ism_alpha, pairs).status == "Pass"
+            assert sampled_check_ism(sc.operator, certified.ism_alpha, pairs).status == "Pass"
             assert golden_oracle[name]["singleton"].status == "Pass"
 
     def test_solver_limit_lands_on_oracle_cluster(self, golden_oracle):
@@ -381,34 +417,143 @@ class TestLemmasEndToEnd:
         assert np.all(images[distinct] >= 0.5 * gamma * nz[distinct])
 
 
+CROSS_CHECK_KINDS = ("monotone", "non-normal", "singular", "rotation", "indefinite")
+CROSS_CHECK_SMALL = 110
+CROSS_CHECK_LARGE = 10
+
+
+def cross_check_operator(i: int) -> AffineOperator:
+    """Operator i of the cross-check: kind i mod 5, dims 1-5 for the first
+    CROSS_CHECK_SMALL instances and n = 50 after them."""
+    rng = np.random.default_rng(5000 + i)
+    n = 1 + i % 5 if i < CROSS_CHECK_SMALL else 50
+    kind = CROSS_CHECK_KINDS[(i // 5 + i) % 5]
+    if kind == "monotone":
+        return random_monotone_operator(rng, n)
+    if kind == "non-normal":
+        matrix = np.diag(rng.uniform(0.5, 2.0, n)) + np.triu(rng.uniform(-4.0, 4.0, (n, n)), 1)
+    elif kind == "singular":
+        u, _, vt = np.linalg.svd(rng.normal(size=(n, n)))
+        singular = rng.uniform(0.5, 2.0, n)
+        singular[-1] = 0.0
+        matrix = u @ np.diag(singular) @ vt
+    elif kind == "rotation":
+        blocks = np.zeros((n, n))
+        for k in range(0, n - 1, 2):
+            angle, radius = rng.uniform(-1.5, 1.5), rng.uniform(0.5, 2.0)
+            blocks[k:k + 2, k:k + 2] = radius * np.array(
+                [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        if n % 2:
+            blocks[-1, -1] = rng.uniform(0.5, 2.0)
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        matrix = q @ blocks @ q.T
+    else:
+        matrix = rng.uniform(-2.0, 2.0, size=(n, n))
+    return AffineOperator(matrix=matrix, offset=np.zeros(n))
+
+
+def cross_check_cases(op: AffineOperator):
+    """(exact checker, sampled checker, constants) triples around the
+    operator's own moduli: at them, below them and above them."""
+    sym_min, gram_min = (float(np.linalg.eigvalsh(q)[0]) for q in (op._sym, op._gram))
+    sigma_min = np.sqrt(max(gram_min, 0.0))
+    sigma_max = np.linalg.norm(op.matrix, 2) or 1.0  # the 1-D singular kind is M = 0
+    v_ref = sym_min if sym_min > 0.0 else 0.1
+    alpha_ref = v_ref / sigma_max**2
+    for f in (0.5, 1.0, 1.0 + 1e-3, 2.0):
+        yield check_ism, sampled_check_ism, (alpha_ref * f,)
+        yield check_expansive, sampled_check_expansive, ((sigma_min or 0.1) * f,)
+        yield (lemma_cocoercive_expansive, sampled_lemma_cocoercive_expansive,
+               (0.25 * v_ref / sigma_max**2, v_ref * f, sigma_max))
+        for u in (0.0, 0.5):
+            v_u = float(np.linalg.eigvalsh(op._sym + u * op._gram)[0])
+            constants = (u, (v_u if v_u > 0.0 else 0.1) * f)
+            yield check_relaxed_cocoercive, sampled_check_relaxed_cocoercive, constants
+            yield check_monotone_chain, sampled_check_monotone_chain, constants + (sigma_max,)
+
+
+def verdict(checker, op, constants, *pairs, **kwargs):
+    result = checker(op, *constants, *pairs, **kwargs)
+    return result[0] if isinstance(result, tuple) else result
+
+
+class TestSampledCrossCheck:
+    """The exact checkers against the sampled ones, which evaluate each
+    inequality literally on explicit pairs."""
+
+    @pytest.mark.parametrize("i", range(CROSS_CHECK_SMALL + CROSS_CHECK_LARGE))
+    def test_exact_verdicts_agree_with_sampled_pairs(self, i):
+        op = cross_check_operator(i)
+        pairs = sample_pairs(op.dim, count=2000, seed=i)
+        for exact, sampled, constants in cross_check_cases(op):
+            report = verdict(exact, op, constants)
+            if report.status == "Pass":
+                # no sampled pair violates a property the exact check passes
+                assert verdict(sampled, op, constants, pairs).status == "Pass", constants
+            else:
+                # the witness (w, 0) violates the literal inequality
+                assert report.status == "Fail" and report.max_violation > 0.0
+                wx, wy = report.witness
+                assert np.linalg.norm(wx) == pytest.approx(1.0) and not np.any(wy)
+                literal = verdict(sampled, op, constants, [(wx, wy)], tolerance=0.0)
+                assert literal.status == "Fail", constants
+
+    def test_instances_cover_every_kind_and_verdict(self):
+        kinds, dims, seen = set(), set(), set()
+        for i in range(CROSS_CHECK_SMALL + CROSS_CHECK_LARGE):
+            op = cross_check_operator(i)
+            dims.add(op.dim)
+            kinds.add(CROSS_CHECK_KINDS[(i // 5 + i) % 5])
+            if i % 7:
+                continue
+            pairs = sample_pairs(op.dim, count=2000, seed=i)
+            for exact, sampled, constants in cross_check_cases(op):
+                status = verdict(exact, op, constants).status
+                seen.add(status)
+                if status == "Fail" and verdict(sampled, op, constants, pairs).status == "Pass":
+                    seen.add("Fail missed by sampling")
+        assert kinds == set(CROSS_CHECK_KINDS)
+        assert dims == {1, 2, 3, 4, 5, 50}
+        assert {"Pass", "Fail", "Fail missed by sampling"} <= seen
+
+
 class TestReportShape:
-    def test_json_field_names_exact(self):
-        xs, ys = sample_pairs(2, count=10, seed=6)
-        report, _ = lemma_cocoercive_expansive(DIAG_OP, 0.0, 1.0, 2.0, (xs, ys), seed=6)
+    FIELDS = {"property", "status", "witness", "samples_used", "max_violation", "seed", "note"}
+
+    def test_json_field_names_exact(self, golden_oracle):
+        report, _ = lemma_cocoercive_expansive(DIAG_OP, 0.0, 1.0, 2.0)
         doc = report.as_dict()
-        assert set(doc) == {
-            "property",
-            "status",
-            "witness",
-            "samples_used",
-            "max_violation",
-            "seed",
-            "note",
-        }
-        assert doc["seed"] == 6
+        assert set(doc) == self.FIELDS
+        # an exact check draws nothing, so it has no seed; a seed is echoed
+        # where a check takes one
+        assert doc["seed"] is None
+        assert doc["samples_used"] == 0
+        assert doc["note"].startswith("exact")
         json.dumps(doc)  # serializable
+        grid = golden_oracle["box_diag"]["grid"]
+        singleton = check_singleton_vi(golden_oracle["box_diag"]["solutions"], grid, seed=6)
+        assert set(singleton.as_dict()) == self.FIELDS
+        assert singleton.as_dict()["seed"] == 6
+        sampled, _ = sampled_lemma_cocoercive_expansive(
+            DIAG_OP, 0.0, 1.0, 2.0, sample_pairs(2, count=10, seed=6), seed=6)
+        assert set(sampled.as_dict()) == self.FIELDS
+        assert sampled.as_dict()["seed"] == 6
 
     def test_fail_iff_witness_for_sampled_checks(self):
-        passing, _ = lemma_cocoercive_expansive(
+        # both the exact checkers and their sampled cross-check
+        passing, _ = lemma_cocoercive_expansive(DIAG_OP, 0.0, 1.0, 2.0)
+        failing, _ = lemma_cocoercive_expansive(DIAG_OP, 0.0, 3.0, 2.0)
+        sampled_passing, _ = sampled_lemma_cocoercive_expansive(
             DIAG_OP, 0.0, 1.0, 2.0, sample_pairs(2, count=100, seed=7)
         )
-        failing, _ = lemma_cocoercive_expansive(
+        sampled_failing, _ = sampled_lemma_cocoercive_expansive(
             DIAG_OP, 0.0, 3.0, 2.0, [([0.0, 1.0], [0.0, 0.0])]
         )
-        assert passing.status == "Pass" and passing.witness is None
-        assert failing.status == "Fail" and failing.witness is not None
-        assert passing.max_violation <= 0.0
-        assert failing.max_violation > 0.0
+        for ok, bad in ((passing, failing), (sampled_passing, sampled_failing)):
+            assert ok.status == "Pass" and ok.witness is None
+            assert bad.status == "Fail" and bad.witness is not None
+            assert ok.max_violation <= 0.0
+            assert bad.max_violation > 0.0
 
     def test_diameter_helper_matches_package(self):
         rng = np.random.default_rng(11)
