@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, DivergenceError, ValidationError
+from .errors import ConfigurationError, DivergenceError, ValidationError
 from .geometry import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex
 from .operators import AffineOperator, certify_moduli, check_expansive, check_ism
 from .operators import sample_pairs  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -36,12 +36,16 @@ from .solvers import (
     IterationTrace,
     NonexpansiveMap,
     ProjectionOnto,
+    _check_delta,
+    _check_inputs,
     compare_stopping,
     solve_halpern,
     solve_projected_gradient,
 )
 from .verification import (
+    GRID_SET_TYPES,
     BruteForceGrid,
+    _check_lemma22_constants,
     brute_force_vi,
     check_singleton_vi,
     lemma_cocoercive_expansive,
@@ -108,32 +112,15 @@ class Scenario:
         if "compare_stopping" in self.tasks:
             if self.x_star is None:
                 raise ValidationError("task 'compare_stopping' requires field 'x_star'")
-            if not (np.isfinite(self.delta) and self.delta > 0.0):
-                raise ValidationError("comparison target delta must be positive")
+            _check_delta(self.delta)
         if "brute_force" in self.tasks and self.grid is None:
             raise ValidationError("task 'brute_force' requires field 'grid'")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
         if self.moduli is not None:
-            m, v, eps = self.moduli
-            if not (np.all(np.isfinite(self.moduli)) and m >= 0.0 and v > 0.0 and eps > 0.0):
-                raise ValidationError("moduli need finite m >= 0, v > 0 and eps > 0")
-        dim = self.operator.dim
-        dims = {"constraint set": self.set_.dim}
-        if isinstance(self.map_s, ProjectionOnto):
-            dims["map_s set"] = self.map_s.set_.dim
-        elif isinstance(self.map_s, AffineAverage):
-            dims["map_s fixed_point"] = self.map_s.fixed_point.size
-        for what, actual in dims.items():
-            if actual != dim:
-                raise DimensionMismatchError(dim, actual, what=what)
-        for what, vector in (("x0", self.x0), ("x_star", self.x_star), ("anchor", self.anchor)):
-            if vector is None:
-                continue
-            if vector.shape != (dim,):
-                raise DimensionMismatchError(dim, vector.size, what=what)
-            if not np.all(np.isfinite(vector)):
-                raise ValidationError(f"{what} has non-finite entries")
+            _check_lemma22_constants(*self.moduli)
+        _check_inputs(self.operator, self.set_, self.map_s,
+                      x0=self.x0, x_star=self.x_star, anchor=self.anchor)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
@@ -202,12 +189,12 @@ def _grid(doc, set_: ConvexSet, tasks) -> BruteForceGrid | None:
     """The oracle's grid, built only for a task that runs the oracle:
     brute_force, or verify_lemma31 on a set the oracle supports."""
     if doc is None or not ("brute_force" in tasks or (
-            "verify_lemma31" in tasks and isinstance(set_, (Box, Simplex)))):
+            "verify_lemma31" in tasks and isinstance(set_, GRID_SET_TYPES))):
         return None
     return BruteForceGrid(
         set_=set_,
         h=float(_field(doc, "h", "grid spec")),
-        vi_tolerance=float(doc.get("vi_tolerance", 1e-9)),
+        vi_tolerance=float(doc.get("vi_tolerance", BruteForceGrid.vi_tolerance)),
     )
 
 
@@ -310,9 +297,6 @@ def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[Verificati
                 task_reports = [VerificationReport(
                     property="ism_expansive_singleton",
                     status=PRECONDITION_VIOLATED,
-                    witness=None,
-                    samples_used=0,
-                    max_violation=0.0,
                     seed=seed,
                     note="operator lacks a certified ism modulus or is not expansive",
                 )]

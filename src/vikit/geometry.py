@@ -179,8 +179,6 @@ class AffineSubspace(ConvexSet):
 
     def _project(self, x):
         d = x - self.basepoint
-        if self.orthonormal_basis.shape[0] == 0:
-            return self.basepoint.copy()
         coeffs = self.orthonormal_basis @ d
         return self.basepoint + coeffs @ self.orthonormal_basis
 

@@ -189,7 +189,6 @@ def _check_forms(op: AffineOperator, name: str, forms) -> VerificationReport:
         property=name,
         status=PASS if witness is None else FAIL,
         witness=witness,
-        samples_used=0,
         max_violation=max_violation,
         note=EXACT_NOTE,
     )

@@ -24,9 +24,9 @@ PRECONDITION_VIOLATED = "PreconditionViolated"
 class VerificationReport:
     property: str
     status: str
-    witness: tuple[np.ndarray, np.ndarray] | None
-    samples_used: int
-    max_violation: float
+    witness: tuple[np.ndarray, np.ndarray] | None = None
+    samples_used: int = 0
+    max_violation: float = 0.0
     seed: int | None = None
     note: str | None = None
 

@@ -8,7 +8,8 @@ nonexpansive map S.  Both record the natural residual per iterate and, when a
 reference solution is supplied and the operator is gamma-expansive, the
 operator residual s_n = |A x_n - A x_ref| together with the certified distance
 bound s_n / gamma.  Inputs are checked once per solve; each iteration checks
-only the points it creates.
+only the points it creates.  ``_check_inputs`` states the input rules once,
+for the solvers and for the scenario parser.
 """
 
 from __future__ import annotations
@@ -194,14 +195,29 @@ def _check_step(op: AffineOperator, cfg: IterationConfig) -> float:
     return moduli.expansiveness
 
 
+def _check_inputs(op: AffineOperator, set_: ConvexSet, s_map=None, **vectors) -> None:
+    """The set and the map S act on R^n, n = op.dim, and each vector, named by
+    its parameter (the scenario field), is a finite n-vector."""
+    dims = {"constraint set": set_.dim}
+    if isinstance(s_map, ProjectionOnto):
+        dims["map_s set"] = s_map.set_.dim
+    elif isinstance(s_map, AffineAverage):
+        dims["map_s fixed_point"] = s_map.fixed_point.size
+    for what, actual in dims.items():
+        if actual != op.dim:
+            raise DimensionMismatchError(op.dim, actual, what=what)
+    for what, vector in vectors.items():
+        if vector is None:
+            continue
+        vector = np.asarray(vector, dtype=float)
+        if vector.shape != (op.dim,):
+            raise DimensionMismatchError(op.dim, vector.size, what=what)
+        if not np.all(np.isfinite(vector)):
+            raise ValidationError(f"{what} has non-finite entries")
+
+
 def _start_point(set_: ConvexSet, op: AffineOperator, x0) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (op.dim,):
-        raise DimensionMismatchError(op.dim, int(np.prod(x0.shape)), what="start point")
-    if set_.dim != op.dim:
-        raise DimensionMismatchError(op.dim, set_.dim, what="constraint set")
-    if not np.all(np.isfinite(x0)):
-        raise ValidationError("start point has non-finite entries")
+    _check_inputs(op, set_, x0=x0)
     # Iterates live in C: the operator's domain.  Projecting the start point
     # also makes the membership postcondition independent of residual_tol.
     return set_.project(x0)
@@ -282,12 +298,7 @@ def solve_halpern(
     anchor weight the scheme tracks the projected-gradient limit.
     """
     anchor = np.asarray(x0 if anchor is None else anchor, dtype=float)
-    if anchor.shape != (op.dim,):
-        raise DimensionMismatchError(op.dim, int(np.prod(anchor.shape)), what="anchor")
-    if not np.all(np.isfinite(anchor)):
-        raise ValidationError("anchor has non-finite entries")
-    if isinstance(s_map, ProjectionOnto) and s_map.set_.dim != op.dim:
-        raise DimensionMismatchError(op.dim, s_map.set_.dim, what="map_s set")
+    _check_inputs(op, set_, s_map, anchor=anchor)
     sched = cfg.anchor_schedule
 
     def advance(n, x, proj):
@@ -295,6 +306,11 @@ def solve_halpern(
         return a * anchor + (1.0 - a) * s_map.apply(proj)
 
     return _run(op, set_, cfg, x0, x_ref, advance)
+
+
+def _check_delta(delta: float) -> None:
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise ConfigurationError("comparison target delta must be positive")
 
 
 @dataclass(frozen=True)
@@ -318,8 +334,7 @@ def compare_stopping(
     """Run the projected-gradient scheme against a known solution and report the
     first iteration at which (a) the shortcut bound s_n / gamma and (b) the
     natural residual r_n fall to delta."""
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise ConfigurationError("comparison target delta must be positive")
+    _check_delta(delta)
     moduli = certify_moduli(op)
     if moduli.expansiveness <= 0.0:
         raise ConfigurationError(

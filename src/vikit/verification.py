@@ -27,6 +27,7 @@ from .reports import pairwise_report  # noqa: F401  (perfbench/tracing.py wraps 
 
 GRID_POINT_GUARD = 10_000_000
 GRID_DIM_GUARD = 3
+GRID_SET_TYPES = (Box, Simplex)
 _CHUNK = 512
 
 
@@ -39,7 +40,7 @@ class BruteForceGrid:
     vi_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not isinstance(self.set_, (Box, Simplex)):
+        if not isinstance(self.set_, GRID_SET_TYPES):
             raise ValidationError("grid oracle supports Box and Simplex sets only")
         if not (np.isfinite(self.h) and self.h > 0.0):
             raise ValidationError("grid spacing must be positive")
@@ -154,6 +155,14 @@ def check_singleton_vi(
     )
 
 
+def _check_lemma22_constants(m: float, v: float, eps: float) -> None:
+    """Lemma 2.2's hypotheses on its constants: finite m >= 0, v > 0, eps > 0."""
+    if not (np.isfinite(m) and m >= 0.0):
+        raise ValidationError("cocoercivity constant m must be finite and nonnegative")
+    if not (np.isfinite(v) and v > 0.0 and np.isfinite(eps) and eps > 0.0):
+        raise ValidationError("constants v and eps must be finite and positive")
+
+
 def lemma_cocoercive_expansive(
     op: AffineOperator, m: float, v: float, eps: float
 ) -> tuple[VerificationReport, float]:
@@ -166,10 +175,7 @@ def lemma_cocoercive_expansive(
     (report, gamma); when gamma <= 0 the hypothesis fails and the report
     status is PreconditionViolated.
     """
-    if not (np.isfinite(m) and m >= 0.0):
-        raise ValidationError("cocoercivity constant m must be finite and nonnegative")
-    if not (np.isfinite(v) and v > 0.0 and np.isfinite(eps) and eps > 0.0):
-        raise ValidationError("constants v and eps must be finite and positive")
+    _check_lemma22_constants(m, v, eps)
     # Float products, not eps**2: a huge eps gives gamma = -inf, not OverflowError.
     gamma = v - m * eps * eps
     name = f"cocoercive_expansive(m={m:g},v={v:g},eps={eps:g})"
@@ -177,9 +183,6 @@ def lemma_cocoercive_expansive(
         return VerificationReport(
             property=name,
             status=PRECONDITION_VIOLATED,
-            witness=None,
-            samples_used=0,
-            max_violation=0.0,
             note=f"derived modulus v - m*eps^2 = {gamma:g} is not positive",
         ), gamma
     return _check_forms(op, name, [(0.0, 1.0, -gamma * gamma), (1.0, 0.0, -gamma)]), gamma

@@ -73,6 +73,12 @@ class TestProjectExamples:
         line = AffineSubspace(basepoint=[0.0, 1.0], orthonormal_basis=[[1.0, 0.0]])
         np.testing.assert_allclose(project(line, [3.0, 4.0]), [3.0, 1.0], atol=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_affine_subspace_with_empty_basis_is_its_basepoint(self, n):
+        basepoint = np.linspace(-1.0, 1.0, n)
+        point = AffineSubspace(basepoint=basepoint, orthonormal_basis=np.zeros((0, n)))
+        np.testing.assert_array_equal(project(point, np.full(n, 5.0)), basepoint)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             project(unit_box(), [0.5, 0.5, 0.5])

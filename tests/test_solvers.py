@@ -19,6 +19,7 @@ from vikit.solvers import (
     AnchorSchedule,
     Identity,
     IterationConfig,
+    NonexpansiveMap,
     ProjectionOnto,
     compare_stopping,
     shortcut_distance_bound,
@@ -514,10 +515,33 @@ class TestLoopErrors:
                                match="^map_s set has dimension 3, expected 2$"):
                 solve(op, UNIT_BOX, s_map, IterationConfig(step=1.0), x0)
 
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [0.5, 0.5]])
+    def test_fixed_point_of_the_wrong_dimension(self, monkeypatch, x0):
+        # checked before the first iteration: unchecked, (1 - t) x + t c failed to
+        # broadcast mid-solve, or the solve returned when x0 solves the VI
+        op = shifted_identity([0.5, 0.5])
+        s_map = AffineAverage(t=0.5, fixed_point=[1.0, 2.0, 3.0])
+        for solve in (solve_halpern, lambda *a: literal_solve(monkeypatch, solve_halpern, *a)):
+            with pytest.raises(DimensionMismatchError,
+                               match="^map_s fixed_point has dimension 3, expected 2$"):
+                solve(op, UNIT_BOX, s_map, IterationConfig(step=1.0), x0)
+
     def test_map_that_changes_the_dimension(self):
-        # (1 - t) x + t c broadcasts a 1-vector x against a 3-vector c
+        # (1 - t) x + t c would broadcast a 1-vector x against a 3-vector c
         op = AffineOperator(matrix=[[1.0]], offset=[0.0])
         s_map = AffineAverage(t=0.5, fixed_point=[1.0, 2.0, 3.0])
-        with pytest.raises(DimensionMismatchError, match="^vector has dimension 3, expected 1$"):
+        with pytest.raises(DimensionMismatchError,
+                           match="^map_s fixed_point has dimension 3, expected 1$"):
             solve_halpern(op, Box(lower=[-1.0], upper=[1.0]), s_map, IterationConfig(step=1.0),
                           [0.5])
+
+    def test_user_map_that_changes_the_dimension(self):
+        # a map the up-front checks cannot see into is caught by the loop's check
+        class Doubling(NonexpansiveMap):
+            def apply(self, x):
+                return np.concatenate([x, x])
+
+        op = AffineOperator(matrix=[[1.0]], offset=[0.0])
+        with pytest.raises(DimensionMismatchError, match="^vector has dimension 2, expected 1$"):
+            solve_halpern(op, Box(lower=[-1.0], upper=[1.0]), Doubling(),
+                          IterationConfig(step=1.0), [0.5])
