@@ -14,13 +14,14 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, ValidationError
+from .errors import ConfigurationError, DivergenceError, ValidationError, VikitError
 from .geometry import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex
 from .operators import AffineOperator, certify_moduli, check_expansive, check_ism
 from .operators import sample_pairs  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -228,8 +229,8 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def write_trace_csv(path: Path, trace: IterationTrace, x_star=None) -> None:
-    """Columns in order: n, r_n, s_n, bound_n, dist_n (dist_n only with x_star)."""
+def _csv_lines(trace: IterationTrace, x_star=None) -> list[str]:
+    """The trace CSV's header, then one line per row."""
     header = "n,r_n,s_n,bound_n"
     values = [trace.natural_residuals, trace.operator_residuals, trace.shortcut_bounds]
     if x_star is not None:
@@ -237,7 +238,12 @@ def write_trace_csv(path: Path, trace: IterationTrace, x_star=None) -> None:
         values.append(trace.distances_to(x_star))
     columns = [map(str, range(trace.rows))] + [
         [""] * trace.rows if v is None else map(repr, v.tolist()) for v in values]
-    _atomic_write(path, "\n".join([header, *map(",".join, zip(*columns)), ""]))
+    return [header, *map(",".join, zip(*columns))]
+
+
+def write_trace_csv(path: Path, trace: IterationTrace, x_star=None) -> None:
+    """Columns in order: n, r_n, s_n, bound_n, dist_n (dist_n only with x_star)."""
+    _atomic_write(path, "\n".join([*_csv_lines(trace, x_star), ""]))
 
 
 def _default_moduli(op: AffineOperator) -> tuple[float, float, float]:
@@ -245,31 +251,8 @@ def _default_moduli(op: AffineOperator) -> tuple[float, float, float]:
     return 0.0, certified.strong_monotonicity, certified.lipschitz
 
 
-def _solve(scenario: Scenario, task: str) -> tuple[IterationTrace, dict]:
-    """Run one of SOLVER_TASKS: its trace and the fields of its record."""
-    op, set_, cfg = scenario.operator, scenario.set_, scenario.config
-    if task == "compare_stopping":
-        record = compare_stopping(op, set_, cfg, scenario.x0, scenario.x_star, scenario.delta)
-        return record.trace, {
-            "delta": record.delta,
-            "shortcut_iteration": record.shortcut_iteration,
-            "natural_iteration": record.natural_iteration,
-        }
-    if task == "solve_pg":
-        trace = solve_projected_gradient(op, set_, cfg, scenario.x0, x_ref=scenario.x_star)
-    else:
-        trace = solve_halpern(op, set_, scenario.map_s, cfg, scenario.x0,
-                              anchor=scenario.anchor, x_ref=scenario.x_star)
-    return trace, {
-        "status": trace.status,
-        "iterations": int(trace.rows - 1),
-        "final": [float(v) for v in trace.final],
-        "final_residual": float(trace.natural_residuals[-1]),
-    }
-
-
 def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[VerificationReport]]:
-    op, seed = scenario.operator, scenario.seed
+    op, seed, set_, cfg = scenario.operator, scenario.seed, scenario.set_, scenario.config
     records: dict = {}
     reports: list[VerificationReport] = []
 
@@ -278,11 +261,41 @@ def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[Verificati
         """The VI solution set on the scenario's grid, computed on first use."""
         return brute_force_vi(op, scenario.grid)
 
+    @functools.cache
+    def comparison():
+        """compare_stopping's record and trace CSV lines, made on first use."""
+        record = compare_stopping(op, set_, cfg, scenario.x0, scenario.x_star, scenario.delta)
+        return record, _csv_lines(record.trace, scenario.x_star)
+
+    def projected_gradient() -> tuple[IterationTrace, list[str]]:
+        """solve_pg's trace and CSV lines: with compare_stopping listed, the prefix
+        of its run of the same iteration past residual_tol, unless that run fails."""
+        if "compare_stopping" in scenario.tasks:
+            with suppress(VikitError):  # then solve_pg's own solve decides
+                record, lines = comparison()
+                trace = record.trace.until(cfg.residual_tol)
+                return trace, lines[: trace.rows + 1]
+        trace = solve_projected_gradient(op, set_, cfg, scenario.x0, x_ref=scenario.x_star)
+        return trace, _csv_lines(trace, scenario.x_star)
+
     for task in scenario.tasks:
         if task in SOLVER_TASKS:
-            trace, fields = _solve(scenario, task)
+            if task == "compare_stopping":
+                record, lines = comparison()
+                fields = {k: getattr(record, k)
+                          for k in ("delta", "shortcut_iteration", "natural_iteration")}
+            else:
+                if task == "solve_pg":
+                    trace, lines = projected_gradient()
+                else:
+                    trace = solve_halpern(op, set_, scenario.map_s, cfg, scenario.x0,
+                                          anchor=scenario.anchor, x_ref=scenario.x_star)
+                    lines = _csv_lines(trace, scenario.x_star)
+                fields = {"status": trace.status, "iterations": int(trace.rows - 1),
+                          "final": trace.final.tolist(),
+                          "final_residual": float(trace.natural_residuals[-1])}
             csv_name = f"{scenario.name}.{task}.trace.csv"
-            write_trace_csv(out_dir / csv_name, trace, x_star=scenario.x_star)
+            _atomic_write(out_dir / csv_name, "\n".join([*lines, ""]))
             records[task] = {**fields, "trace_csv": csv_name}
 
         elif task == "verify_lemma22":
@@ -312,10 +325,7 @@ def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[Verificati
 
         elif task == "brute_force":
             solutions = oracle()
-            records[task] = {
-                "solutions": [[float(v) for v in row] for row in solutions],
-                "count": int(solutions.shape[0]),
-            }
+            records[task] = {"solutions": solutions.tolist(), "count": int(solutions.shape[0])}
 
     return records, reports
 

@@ -12,10 +12,15 @@ class ValidationError(VikitError):
 class DimensionMismatchError(ValidationError):
     """A vector or matrix does not match the ambient dimension."""
 
-    def __init__(self, expected: int, actual: int, what: str = "vector"):
+    def __init__(self, expected: int, actual: int | tuple[int, ...], what: str = "vector"):
+        """``actual`` is a length or an array's shape; a 1-D shape reads as its length."""
+        if isinstance(actual, tuple) and len(actual) == 1:
+            actual = actual[0]
         self.expected = expected
         self.actual = actual
-        super().__init__(f"{what} has dimension {actual}, expected {expected}")
+        kind, want = (("shape", (expected,)) if isinstance(actual, tuple)
+                      else ("dimension", expected))
+        super().__init__(f"{what} has {kind} {actual}, expected {want}")
 
 
 class ConfigurationError(VikitError):

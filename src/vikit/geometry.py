@@ -7,6 +7,7 @@ characterization <x - Px, y - Px> <= 0 for all y in the set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,21 @@ class ConvexSet:
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
-            raise DimensionMismatchError(self.dim, int(np.prod(x.shape)))
+            raise DimensionMismatchError(self.dim, x.shape)
         if not np.all(np.isfinite(x)):
             raise ValidationError("point has non-finite entries")
         return x
+
+
+def _finite_vector(obj, name: str, what: str) -> np.ndarray:
+    """Store field ``name`` of the frozen ``obj`` as a read-only float vector,
+    or raise ValidationError "<what> must be a finite vector"."""
+    v = np.array(getattr(obj, name), dtype=float)
+    if v.ndim != 1 or not np.all(np.isfinite(v)):
+        raise ValidationError(f"{what} must be a finite vector")
+    v.setflags(write=False)
+    object.__setattr__(obj, name, v)
+    return v
 
 
 @dataclass(frozen=True)
@@ -61,7 +73,7 @@ class Box(ConvexSet):
         return self.lower.shape[0]
 
     def _project(self, x):
-        return np.clip(x, self.lower, self.upper)
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
 
 @dataclass(frozen=True)
@@ -72,13 +84,9 @@ class Ball(ConvexSet):
     radius: float
 
     def __post_init__(self):
-        c = np.array(self.center, dtype=float)
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
-            raise ValidationError("ball center must be a finite vector")
+        _finite_vector(self, "center", "ball center")
         if not (self.radius > 0.0 and np.isfinite(self.radius)):
             raise ValidationError("ball radius must be positive and finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
 
     @property
@@ -87,7 +95,7 @@ class Ball(ConvexSet):
 
     def _project(self, x):
         d = x - self.center
-        dist = float(np.linalg.norm(d))
+        dist = math.sqrt(d @ d)
         if dist <= self.radius:
             return x
         return self.center + (self.radius / dist) * d
@@ -101,15 +109,10 @@ class Halfspace(ConvexSet):
     offset: float
 
     def __post_init__(self):
-        a = np.array(self.normal, dtype=float)
-        if a.ndim != 1 or not np.all(np.isfinite(a)):
-            raise ValidationError("halfspace normal must be a finite vector")
-        if not np.any(a != 0.0):
+        if not np.any(_finite_vector(self, "normal", "halfspace normal") != 0.0):
             raise ValidationError("degenerate halfspace: zero normal")
         if not np.isfinite(self.offset):
             raise ValidationError("halfspace offset must be finite")
-        a.setflags(write=False)
-        object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", float(self.offset))
 
     @property
@@ -133,6 +136,7 @@ class Simplex(ConvexSet):
         if int(self.n) < 1:
             raise ValidationError("simplex dimension must be positive")
         object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "_ranks", np.arange(1, self.n + 1))
 
     @property
     def dim(self) -> int:
@@ -140,11 +144,11 @@ class Simplex(ConvexSet):
 
     def _project(self, x):
         # Sort-and-threshold; the >= keeps the largest feasible support on ties.
-        u = np.sort(x)[::-1]
-        css = np.cumsum(u)
-        j = np.arange(1, self.n + 1)
-        feasible = np.nonzero(u - (css - 1.0) / j >= 0.0)[0]
-        rho = feasible[-1]
+        u = x.copy()
+        u.sort()
+        u = u[::-1]
+        css = u.cumsum()
+        rho = (u - (css - 1.0) / self._ranks >= 0.0).nonzero()[0][-1]
         theta = (css[rho] - 1.0) / (rho + 1.0)
         return np.maximum(x - theta, 0.0)
 
@@ -157,10 +161,8 @@ class AffineSubspace(ConvexSet):
     orthonormal_basis: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.basepoint, dtype=float)
+        b = _finite_vector(self, "basepoint", "basepoint")
         basis = np.array(self.orthonormal_basis, dtype=float)
-        if b.ndim != 1 or not np.all(np.isfinite(b)):
-            raise ValidationError("basepoint must be a finite vector")
         if basis.ndim != 2 or basis.shape[1] != b.shape[0]:
             raise ValidationError("basis vectors must match the basepoint dimension")
         if not np.all(np.isfinite(basis)):
@@ -168,9 +170,7 @@ class AffineSubspace(ConvexSet):
         gram = basis @ basis.T
         if basis.shape[0] and np.max(np.abs(gram - np.eye(basis.shape[0]))) > 1e-12:
             raise ValidationError("basis vectors must be pairwise orthonormal within 1e-12")
-        b.setflags(write=False)
         basis.setflags(write=False)
-        object.__setattr__(self, "basepoint", b)
         object.__setattr__(self, "orthonormal_basis", basis)
 
     @property

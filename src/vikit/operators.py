@@ -123,7 +123,7 @@ def evaluate(op: AffineOperator, x) -> np.ndarray:
     """Apply the operator: Mx + q."""
     x = np.asarray(x, dtype=float)
     if x.shape != (op.dim,):
-        raise DimensionMismatchError(op.dim, int(np.prod(x.shape)))
+        raise DimensionMismatchError(op.dim, x.shape)
     if not np.all(np.isfinite(x)):
         raise ValidationError("input vector has non-finite entries")
     return op.matrix @ x + op.offset

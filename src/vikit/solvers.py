@@ -10,6 +10,9 @@ operator residual s_n = |A x_n - A x_ref| together with the certified distance
 bound s_n / gamma.  Inputs are checked once per solve; each iteration checks
 only the points it creates.  ``_check_inputs`` states the input rules once,
 for the solvers and for the scenario parser.
+The loop is deterministic, so a run to residual_tol is, bit for bit, the prefix
+of the same run continued to a smaller tolerance (``IterationTrace.until``):
+a scenario that lists ``compare_stopping`` takes ``solve_pg``'s trace from it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, DivergenceError, ValidationError
-from .geometry import ConvexSet
+from .geometry import ConvexSet, _finite_vector
 from .geometry import project  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .operators import AffineOperator, certify_moduli, evaluate
 
@@ -86,6 +89,11 @@ class IterationConfig:
             raise ConfigurationError("residual_tol must be positive")
 
 
+def _first_at_most(values: np.ndarray, target: float) -> int | None:
+    hits = (values <= target).nonzero()[0]
+    return int(hits[0]) if hits.size else None
+
+
 @dataclass(frozen=True)
 class IterationTrace:
     """Per-iteration history of a solve.
@@ -93,7 +101,8 @@ class IterationTrace:
     Row n holds the iterate x_n, its natural residual
     r_n = |x_n - P_C(x_n - lam * A x_n)| and, when a reference point was
     supplied, the operator residual s_n = |A x_n - A x_ref|; the shortcut bound
-    b_n = s_n / gamma is populated when gamma > 0.
+    b_n = s_n / gamma is populated when gamma > 0.  A solve to residual_tol
+    makes the prefix ``until(residual_tol)`` of the same solve to a smaller one.
     """
 
     iterates: np.ndarray
@@ -119,9 +128,17 @@ class IterationTrace:
     def final(self) -> np.ndarray:
         return self.iterates[-1]
 
+    def until(self, tol: float) -> IterationTrace:
+        """Rows up to and including the first with r_n <= tol, status Converged,
+        else the whole trace: of a run to residual_tol <= tol, the run to tol."""
+        k = _first_at_most(self.natural_residuals, tol)
+        if k is None:
+            return self
+        return replace(self, status=CONVERGED, **{
+            name: a[: k + 1] for name, a in vars(self).items() if isinstance(a, np.ndarray)})
+
     def distances_to(self, x_star) -> np.ndarray:
-        x_star = np.asarray(x_star, dtype=float)
-        return np.linalg.norm(self.iterates - x_star[None, :], axis=1)
+        return np.linalg.norm(self.iterates - np.asarray(x_star, dtype=float), axis=1)
 
 
 class NonexpansiveMap:
@@ -159,11 +176,7 @@ class AffineAverage(NonexpansiveMap):
     def __post_init__(self):
         if not 0.0 <= self.t <= 1.0:
             raise ValidationError("averaging coefficient t must be in [0, 1]")
-        c = np.array(self.fixed_point, dtype=float)
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
-            raise ValidationError("fixed point must be a finite vector")
-        c.setflags(write=False)
-        object.__setattr__(self, "fixed_point", c)
+        _finite_vector(self, "fixed_point", "fixed point")
 
     def apply(self, x):
         return (1.0 - self.t) * np.asarray(x, dtype=float) + self.t * self.fixed_point
@@ -211,21 +224,17 @@ def _check_inputs(op: AffineOperator, set_: ConvexSet, s_map=None, **vectors) ->
             continue
         vector = np.asarray(vector, dtype=float)
         if vector.shape != (op.dim,):
-            raise DimensionMismatchError(op.dim, vector.size, what=what)
+            raise DimensionMismatchError(op.dim, vector.shape, what=what)
         if not np.all(np.isfinite(vector)):
             raise ValidationError(f"{what} has non-finite entries")
 
 
-def _start_point(set_: ConvexSet, op: AffineOperator, x0) -> np.ndarray:
+def _run(op, set_, cfg, x0, x_ref, advance) -> IterationTrace:
+    gamma = _check_step(op, cfg)
     _check_inputs(op, set_, x0=x0)
     # Iterates live in C: the operator's domain.  Projecting the start point
     # also makes the membership postcondition independent of residual_tol.
-    return set_.project(x0)
-
-
-def _run(op, set_, cfg, x0, x_ref, advance) -> IterationTrace:
-    gamma = _check_step(op, cfg)
-    x = _start_point(set_, op, x0)
+    x = set_.project(x0)
     a_ref = None if x_ref is None else evaluate(op, x_ref)
     if not np.isfinite(x).all():
         raise ValidationError("input vector has non-finite entries")
@@ -335,8 +344,7 @@ def compare_stopping(
     first iteration at which (a) the shortcut bound s_n / gamma and (b) the
     natural residual r_n fall to delta."""
     _check_delta(delta)
-    moduli = certify_moduli(op)
-    if moduli.expansiveness <= 0.0:
+    if certify_moduli(op).expansiveness <= 0.0:
         raise ConfigurationError(
             "non-expansive operator: sigma_min(M) = 0, the shortcut bound is unavailable"
         )
@@ -344,15 +352,10 @@ def compare_stopping(
     # trace before the shortcut criterion has a chance to fire.
     inner = replace(cfg, residual_tol=min(cfg.residual_tol, delta * 1e-3))
     trace = solve_projected_gradient(op, set_, inner, x0, x_ref=x_star)
-
-    def first_at_most(values, target):
-        hits = np.nonzero(np.asarray(values) <= target)[0]
-        return int(hits[0]) if hits.size else None
-
     return ComparisonRecord(
         delta=delta,
-        shortcut_iteration=first_at_most(trace.shortcut_bounds, delta),
-        natural_iteration=first_at_most(trace.natural_residuals, delta),
+        shortcut_iteration=_first_at_most(trace.shortcut_bounds, delta),
+        natural_iteration=_first_at_most(trace.natural_residuals, delta),
         trace=trace,
     )
 

@@ -24,6 +24,7 @@ from .geometry import Box, ConvexSet, Simplex
 from .operators import AffineOperator, _check_forms
 from .reports import FAIL, PASS, PRECONDITION_VIOLATED, VerificationReport
 from .reports import pairwise_report  # noqa: F401  (perfbench/tracing.py wraps this name)
+from .solvers import _check_inputs
 
 GRID_POINT_GUARD = 10_000_000
 GRID_DIM_GUARD = 3
@@ -103,8 +104,7 @@ def brute_force_vi(op: AffineOperator, grid: BruteForceGrid) -> np.ndarray:
 
     Returns an (k, n) array in lexicographic row order.
     """
-    if grid.set_.dim != op.dim:
-        raise ValidationError("grid set dimension does not match the operator")
+    _check_inputs(op, grid.set_)
     pts = grid.points()
     a_vals = pts @ op.matrix.T + op.offset
     inner_min = np.min(a_vals @ _extreme_nodes(pts).T, axis=1)

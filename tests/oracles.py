@@ -7,9 +7,11 @@ VI solutions come from grid search over an objective, or from the literal
 all-pairs grid scan, rather than from the package's own corner-node oracle.
 The solver loop and the trace CSV writer also have literal references here:
 a loop that re-checks every input through the public ``evaluate`` and
-``project``, and a writer built on ``csv.writer``.  The pairwise checkers have
-a sampled counterpart: the ``sampled_*`` functions evaluate each inequality on
-explicit pairs (x, y), independent of the package's eigenvalue engine.
+``project``, and a writer built on ``csv.writer``; so do the box, ball and
+simplex projections, as bodies that go through numpy's function wrappers.
+The pairwise checkers have a sampled counterpart: the ``sampled_*`` functions
+evaluate each inequality on explicit pairs (x, y), independent of the
+package's eigenvalue engine.
 """
 
 from __future__ import annotations
@@ -176,10 +178,11 @@ def literal_run(op, set_, cfg, x0, x_ref, advance):
     from vikit.errors import DivergenceError
     from vikit.geometry import project
     from vikit.operators import evaluate
-    from vikit.solvers import CONVERGED, MAX_ITERS, IterationTrace, _check_step, _start_point
+    from vikit.solvers import CONVERGED, MAX_ITERS, IterationTrace, _check_inputs, _check_step
 
     gamma = _check_step(op, cfg)
-    x = _start_point(set_, op, x0)
+    _check_inputs(op, set_, x0=x0)
+    x = project(set_, x0)
     a_ref = None
     if x_ref is not None:
         x_ref = np.asarray(x_ref, dtype=float)
@@ -220,6 +223,15 @@ def literal_run(op, set_, cfg, x0, x_ref, advance):
     )
 
 
+def assert_same_trace(lean, literal):
+    """Same status, row count and gamma, and the same bits in every column."""
+    assert (lean.status, lean.rows, lean.gamma) == (literal.status, literal.rows, literal.gamma)
+    for name in ("iterates", "natural_residuals", "operator_residuals", "shortcut_bounds"):
+        a, b = getattr(lean, name), getattr(literal, name)
+        assert (a is None) == (b is None), name
+        assert a is None or (a.shape == b.shape and a.tobytes() == b.tobytes()), name
+
+
 def literal_trace_csv(trace, x_star=None) -> str:
     """The trace CSV text, one ``csv.writer`` row per iteration: n, r_n, s_n,
     bound_n and, with x_star, dist_n; a missing column is left blank."""
@@ -247,6 +259,35 @@ def literal_trace_csv(trace, x_star=None) -> str:
 def literal_projection_apply(self, x):
     """``ProjectionOnto.apply`` through the public, input-checking ``project``."""
     return self.set_.project(x)
+
+
+# -- projections through numpy's function wrappers ----------------------------
+# The bodies of ``Box._project``, ``Ball._project`` and ``Simplex._project``
+# before they called ufuncs and array methods directly; each takes the set as
+# ``self``.
+
+
+def literal_box_project(self, x):
+    return np.clip(x, self.lower, self.upper)
+
+
+def literal_ball_project(self, x):
+    d = x - self.center
+    dist = float(np.linalg.norm(d))
+    if dist <= self.radius:
+        return x
+    return self.center + (self.radius / dist) * d
+
+
+def literal_simplex_project(self, x):
+    # Sort-and-threshold; the >= keeps the largest feasible support on ties.
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u)
+    j = np.arange(1, self.n + 1)
+    feasible = np.nonzero(u - (css - 1.0) / j >= 0.0)[0]
+    rho = feasible[-1]
+    theta = (css[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(x - theta, 0.0)
 
 
 # -- sampled pairwise checkers ------------------------------------------------

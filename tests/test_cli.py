@@ -7,12 +7,20 @@ import sys
 import numpy as np
 import pytest
 
-from vikit import cli, verification
-from vikit.errors import DivergenceError, ValidationError
+from vikit import cli, solvers, verification
+from vikit.errors import ConfigurationError, DivergenceError, ValidationError
 from vikit.geometry import AffineSubspace, Ball, Box, Halfspace, Simplex
-from vikit.solvers import AffineAverage, Identity, IterationTrace, ProjectionOnto
+from vikit.solvers import (
+    AffineAverage,
+    Identity,
+    IterationTrace,
+    ProjectionOnto,
+    compare_stopping,
+    solve_halpern,
+    solve_projected_gradient,
+)
 
-from oracles import literal_trace_csv
+from oracles import assert_same_trace, literal_run, literal_trace_csv
 
 BASE_SCENARIO = {
     "name": "unit",
@@ -276,6 +284,18 @@ class TestRunScenario:
         assert payload["exit_status"] == 3
         assert payload["error"]
 
+    @pytest.mark.parametrize("field", ["x0", "anchor", "x_star"])
+    def test_vector_of_the_wrong_shape_is_named_by_its_shape(self, tmp_path, field):
+        # a (1, 2) array has the right number of entries; the message reported
+        # "x0 has dimension 2, expected 2"
+        doc_path = write_scenario(tmp_path, name="shaped", **{field: [[0.5, 0.5]]},
+                                  tasks=["solve_pg", "solve_halpern", "compare_stopping"])
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 3
+        assert sorted(p.name for p in out_dir.iterdir()) == ["shaped.reports.json"]
+        assert read_reports(out_dir, "shaped")["error"] == (
+            f"{field} has shape (1, 2), expected (2,)")
+
     def test_overflowing_alpha_exits_3_naming_cause(self, tmp_path):
         # alpha = v / sigma_max^2 needs sigma_max^2 = 1e400, beyond a float
         operator = {"matrix": [[1e200, 0.0], [0.0, 1e200]], "offset": [0.0, 0.0]}
@@ -472,6 +492,158 @@ class TestTraceCsvWriter:
 
     def test_golden_traces(self, tmp_path, golden_scenarios):
         for sc in golden_scenarios:
-            trace, _ = cli._solve(sc, "solve_halpern")
+            trace = solve_halpern(sc.operator, sc.set_, sc.map_s, sc.config, sc.x0,
+                                  anchor=sc.anchor, x_ref=sc.x_star)
             self.check(tmp_path, trace)
             self.check(tmp_path, trace, sc.x_star)
+
+
+def standalone_pg(sc):
+    return solve_projected_gradient(sc.operator, sc.set_, sc.config, sc.x0, x_ref=sc.x_star)
+
+
+PG_FIRST = ["solve_pg", "compare_stopping"]
+PG_LAST = ["compare_stopping", "solve_pg"]
+UNIT_CONFIG = BASE_SCENARIO["config"]
+# Scenario changes, with the (rows, status) of solve_pg's standalone run and of
+# compare_stopping's run of the same iteration (delta 1e-6: to tol 1e-9).
+SHARED_CASES = {
+    "stops-earlier": ({}, (13, "Converged"), (14, "Converged")),
+    "max-iters-cuts-both": ({"config": dict(UNIT_CONFIG, max_iters=5)},
+                            (6, "MaxIters"), (6, "MaxIters")),
+    "max-iters-cuts-longer": ({"config": dict(UNIT_CONFIG, max_iters=12)},
+                              (13, "Converged"), (13, "MaxIters")),
+    "x0-solves": ({"x0": [1.0, 0.0]}, (1, "Converged"), (1, "Converged")),
+    "same-run": ({"delta": 1.0}, (13, "Converged"), (13, "Converged")),
+    "loose-tol": ({"config": dict(UNIT_CONFIG, tol=1e-2)}, (4, "Converged"), (14, "Converged")),
+}
+
+
+class TestSharedTrajectory:
+    """With compare_stopping listed, solve_pg's trace and CSV are the prefix of
+    compare_stopping's run; they must be those of a standalone solve."""
+
+    @staticmethod
+    def capture_prefixes(monkeypatch):
+        """The traces ``IterationTrace.until`` returns during the run."""
+        prefixes = []
+        until = IterationTrace.until
+
+        def capturing_until(self, tol):
+            prefixes.append(until(self, tol))
+            return prefixes[-1]
+
+        monkeypatch.setattr(IterationTrace, "until", capturing_until)
+        return prefixes
+
+    @staticmethod
+    def check_solve_pg(out_dir, sc, monkeypatch, record=True):
+        """solve_pg's CSV and record against a standalone solve, which must
+        equal the reference loop's bit for bit."""
+        trace = standalone_pg(sc)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_run", literal_run)
+            assert_same_trace(trace, standalone_pg(sc))
+        csv = (out_dir / f"{sc.name}.solve_pg.trace.csv").read_bytes()
+        assert csv == literal_trace_csv(trace, x_star=sc.x_star).encode()
+        if not record:
+            return
+        assert read_reports(out_dir, sc.name)["tasks"]["solve_pg"] == {
+            "status": trace.status,
+            "iterations": trace.rows - 1,
+            "final": trace.final.tolist(),
+            "final_residual": float(trace.natural_residuals[-1]),
+            "trace_csv": f"{sc.name}.solve_pg.trace.csv",
+        }
+
+    @pytest.mark.parametrize("case", SHARED_CASES)
+    def test_cases_cover_the_prefix_rule(self, case):
+        changes, pg, comparison = SHARED_CASES[case]
+        sc = parse(tasks=PG_FIRST, **changes)
+        trace = standalone_pg(sc)
+        long = compare_stopping(sc.operator, sc.set_, sc.config, sc.x0, sc.x_star, sc.delta).trace
+        assert ((trace.rows, trace.status), (long.rows, long.status)) == (pg, comparison)
+        assert_same_trace(long.until(sc.config.residual_tol), trace)
+
+    @pytest.mark.parametrize("case", SHARED_CASES)
+    @pytest.mark.parametrize("tasks", [PG_FIRST, PG_LAST], ids=["pg-first", "pg-last"])
+    def test_solve_pg_equals_standalone_solve(self, tmp_path, monkeypatch, case, tasks):
+        changes = SHARED_CASES[case][0]
+        doc_path = write_scenario(tmp_path, name="shared", tasks=tasks, **changes)
+        out_dir = tmp_path / "out"
+        prefixes = self.capture_prefixes(monkeypatch)
+        assert cli.run_scenario(doc_path, out_dir) == 0
+        sc = parse(tasks=tasks, name="shared", **changes)
+        assert len(prefixes) == 1
+        assert_same_trace(prefixes[0], standalone_pg(sc))
+        self.check_solve_pg(out_dir, sc, monkeypatch)
+        record = compare_stopping(sc.operator, sc.set_, sc.config, sc.x0, sc.x_star, sc.delta)
+        csv = (out_dir / "shared.compare_stopping.trace.csv").read_bytes()
+        assert csv == literal_trace_csv(record.trace, x_star=sc.x_star).encode()
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["golden-order", "reversed"])
+    def test_goldens(self, tmp_path, monkeypatch, golden_scenarios, reverse):
+        prefixes = self.capture_prefixes(monkeypatch)
+        for sc in golden_scenarios:
+            doc = json.loads(cli.golden_path(sc.name).read_text())
+            doc["tasks"] = doc["tasks"][::-1] if reverse else doc["tasks"]
+            doc_path = tmp_path / f"{sc.name}.json"
+            doc_path.write_text(json.dumps(doc))
+            out_dir = tmp_path / sc.name
+            prefixes.clear()
+            assert cli.run_scenario(doc_path, out_dir) == 0
+            assert len(prefixes) == 1
+            assert_same_trace(prefixes[0], standalone_pg(sc))
+            self.check_solve_pg(out_dir, sc, monkeypatch)
+
+    def test_without_compare_stopping_solve_pg_runs_its_own_solve(self, tmp_path, monkeypatch):
+        doc_path = write_scenario(tmp_path, name="alone", tasks=["solve_halpern", "solve_pg"])
+        out_dir = tmp_path / "out"
+        prefixes = self.capture_prefixes(monkeypatch)
+        assert cli.run_scenario(doc_path, out_dir) == 0
+        assert prefixes == []
+        self.check_solve_pg(out_dir, parse(name="alone"), monkeypatch)
+
+    @pytest.mark.parametrize("tasks,runs", [
+        (["solve_pg", "solve_halpern", "compare_stopping"], 2),
+        (["compare_stopping", "solve_halpern", "solve_pg"], 2),
+        (PG_FIRST, 1),
+        (["solve_pg", "solve_halpern"], 2),
+        (["solve_pg"], 1),
+    ])
+    def test_one_projected_gradient_run_per_scenario(self, tmp_path, monkeypatch, tasks, runs):
+        calls = []
+        run = solvers._run
+
+        def counting_run(*args):
+            calls.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(solvers, "_run", counting_run)
+        doc_path = write_scenario(tmp_path, name="count", tasks=tasks)
+        assert cli.run_scenario(doc_path, tmp_path / "out") == 0
+        assert len(calls) == runs
+
+    @pytest.mark.parametrize("error,code", [(DivergenceError(7), 4),
+                                            (ConfigurationError("comparison refused"), 3)])
+    @pytest.mark.parametrize("tasks", [PG_FIRST, PG_LAST], ids=["pg-first", "pg-last"])
+    def test_failed_comparison_leaves_solve_pg_its_own_solve(self, tmp_path, monkeypatch,
+                                                             error, code, tasks):
+        # solve_pg listed first still completes and writes its trace, as it
+        # did when it never shared compare_stopping's run; a failed scenario
+        # reports no task records
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "compare_stopping", fail)
+        doc_path = write_scenario(tmp_path, name="cut", tasks=tasks)
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == code
+        assert read_reports(out_dir, "cut")["error"] == str(error)
+        written = sorted(p.name for p in out_dir.iterdir())
+        if tasks == PG_FIRST:
+            assert written == ["cut.reports.json", "cut.solve_pg.trace.csv"]
+            self.check_solve_pg(out_dir, parse(name="cut", tasks=tasks), monkeypatch,
+                                record=False)
+        else:
+            assert written == ["cut.reports.json"]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,14 @@ from vikit.geometry import (
     contains,
     project,
 )
+from vikit.solvers import AffineAverage
 
-from oracles import sample_in_set
+from oracles import (
+    literal_ball_project,
+    literal_box_project,
+    literal_simplex_project,
+    sample_in_set,
+)
 
 
 def unit_box():
@@ -82,6 +90,114 @@ class TestProjectExamples:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             project(unit_box(), [0.5, 0.5, 0.5])
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+PROJECTION_DIMS = (1, 2, 3, 50, 500)
+
+
+class TestProjectionBodies:
+    """Box, Ball and Simplex projections give the bits of their earlier bodies,
+    which went through numpy's function wrappers (tests/oracles.py)."""
+
+    @staticmethod
+    def check(set_, x):
+        literal = {Box: literal_box_project, Ball: literal_ball_project,
+                   Simplex: literal_simplex_project}[type(set_)]
+        x = np.asarray(x, dtype=float)
+        assert same_bits(set_._project(x), literal(set_, x)), (set_, x)
+
+    @pytest.mark.parametrize("n", PROJECTION_DIMS)
+    def test_seeded_random_points(self, n):
+        rng = np.random.default_rng(500 + n)
+        for _ in range(30):
+            lower = rng.uniform(-2.0, 1.0, n)
+            box = Box(lower=lower, upper=lower + rng.uniform(0.0, 2.0, n))
+            ball = Ball(center=rng.uniform(-1.0, 1.0, n), radius=rng.uniform(0.1, 3.0))
+            for scale in (0.1, 1.0, 10.0):
+                x = rng.normal(scale=scale, size=n)
+                for set_ in (box, ball, Simplex(n)):
+                    self.check(set_, x)
+
+    @pytest.mark.parametrize("n", PROJECTION_DIMS)
+    def test_points_on_the_bounds(self, n):
+        rng = np.random.default_rng(600 + n)
+        lower = rng.uniform(-2.0, 1.0, n)
+        upper = lower + rng.uniform(0.0, 2.0, n)
+        box = Box(lower=lower, upper=upper)
+        mixed = np.where(rng.random(n) < 0.5, lower, upper)
+        for x in (lower, upper, mixed):
+            self.check(box, x)
+        unit = rng.normal(size=n)
+        unit /= np.linalg.norm(unit)
+        ball = Ball(center=rng.uniform(-1.0, 1.0, n), radius=1.5)
+        for x in (ball.center, ball.center + 1.5 * unit, ball.center + np.nextafter(1.5, 2) * unit):
+            self.check(ball, x)
+        vertex = np.zeros(n)
+        vertex[0] = 1.0
+        for x in (vertex, np.full(n, 1.0 / n), -vertex):
+            self.check(Simplex(n), x)
+
+    def test_signed_zeros(self):
+        zeros = (-0.0, 0.0)
+        for x, lo, hi in itertools.product(zeros, (-1.0, -0.0, 0.0), (-0.0, 0.0, 1.0)):
+            self.check(Box(lower=[lo], upper=[hi]), [x])
+        for x in itertools.product(zeros, repeat=3):
+            self.check(Box(lower=[-0.0, 0.0, -0.0], upper=[0.0, -0.0, 1.0]), x)
+            self.check(Ball(center=[-0.0, 0.0, 0.0], radius=1.0), x)
+            self.check(Simplex(3), x)
+        for x in itertools.product((-0.0, 0.0, 1.0), repeat=3):
+            self.check(Simplex(3), x)
+
+    @pytest.mark.parametrize("n", PROJECTION_DIMS)
+    def test_tied_simplex_coordinates(self, n):
+        rng = np.random.default_rng(700 + n)
+        for x in (np.full(n, 0.3), np.full(n, -2.0), rng.integers(-2, 3, n) / 2.0,
+                  np.repeat(rng.normal(size=(n + 1) // 2), 2)[:n]):
+            self.check(Simplex(n), x)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("n", PROJECTION_DIMS)
+    def test_entries_near_1e300(self, n):
+        # |d|^2 overflows to inf in both bodies, so a far point maps to the center
+        rng = np.random.default_rng(800 + n)
+        for _ in range(10):
+            x = rng.uniform(-1.0, 1.0, n) * 1e300
+            lower = rng.uniform(-1.0, 0.0, n) * 1e300
+            self.check(Box(lower=lower, upper=lower + rng.uniform(0.0, 1.0, n) * 1e300), x)
+            self.check(Ball(center=rng.uniform(-1.0, 1.0, n) * 1e300, radius=1e300), x)
+            self.check(Ball(center=np.zeros(n), radius=1.0), x)
+            self.check(Simplex(n), x)
+
+
+# Each class that stores a finite vector field, with the field's name in its
+# message: (make from a value, attribute, name).
+FINITE_VECTOR_FIELDS = [
+    (lambda v: Ball(center=v, radius=1.0), "center", "ball center"),
+    (lambda v: Halfspace(normal=v, offset=0.0), "normal", "halfspace normal"),
+    (lambda v: AffineSubspace(basepoint=v, orthonormal_basis=np.zeros((0, 2))),
+     "basepoint", "basepoint"),
+    (lambda v: AffineAverage(t=0.5, fixed_point=v), "fixed_point", "fixed point"),
+]
+
+
+@pytest.mark.parametrize("make,attr,name", FINITE_VECTOR_FIELDS,
+                         ids=[f[1] for f in FINITE_VECTOR_FIELDS])
+class TestFiniteVectorFields:
+    @pytest.mark.parametrize("bad", [[[1.0, 2.0]], [np.nan, 1.0], [1.0, -np.inf], 1.0])
+    def test_message(self, make, attr, name, bad):
+        with pytest.raises(ValidationError, match=f"^{name} must be a finite vector$"):
+            make(bad)
+
+    def test_stored_as_a_read_only_float_copy(self, make, attr, name):
+        source = np.array([1, 2])
+        stored = getattr(make(source), attr)
+        source[0] = 5
+        assert stored.dtype == float and stored.tolist() == [1.0, 2.0]
+        assert not stored.flags.writeable
 
 
 class TestContainsExamples:

@@ -1,5 +1,7 @@
 import itertools
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from vikit.solvers import (
     AnchorSchedule,
     Identity,
     IterationConfig,
+    IterationTrace,
     NonexpansiveMap,
     ProjectionOnto,
     compare_stopping,
@@ -28,6 +31,7 @@ from vikit.solvers import (
 )
 
 from oracles import (
+    assert_same_trace,
     box_quadratic_grid_argmin,
     literal_projection_apply,
     literal_run,
@@ -338,14 +342,6 @@ def literal_solve(monkeypatch, solve, *args, **kwargs):
         return solve(*args, **kwargs)
 
 
-def assert_same_trace(lean, literal):
-    assert (lean.status, lean.rows, lean.gamma) == (literal.status, literal.rows, literal.gamma)
-    for name in ("iterates", "natural_residuals", "operator_residuals", "shortcut_bounds"):
-        a, b = getattr(lean, name), getattr(literal, name)
-        assert (a is None) == (b is None), name
-        assert a is None or np.array_equal(a, b), name
-
-
 SET_TYPES = (Box, Ball, Halfspace, Simplex, AffineSubspace)
 MAP_TYPES = (Identity, ProjectionOnto, AffineAverage)
 RULES = ("harmonic", "power", "geometric")
@@ -466,6 +462,92 @@ class TestReferenceLoop:
             assert (lean.shortcut_iteration, lean.natural_iteration) == (
                 literal.shortcut_iteration, literal.natural_iteration)
             assert_same_trace(lean.trace, literal.trace)
+
+
+class TestTraceUntil:
+    """``until(tol)`` is the prefix of a trace that a solve stopping at
+    residual_tol = tol makes."""
+
+    @staticmethod
+    def trace(with_reference=True):
+        residuals = np.array([4.0, 2.0, 1.0, 0.5])
+        return IterationTrace(
+            iterates=np.arange(8.0).reshape(4, 2),
+            natural_residuals=residuals,
+            operator_residuals=2.0 * residuals if with_reference else None,
+            shortcut_bounds=residuals if with_reference else None,
+            status=solvers.MAX_ITERS,
+            gamma=2.0,
+        )
+
+    @pytest.mark.parametrize("tol,rows", [(4.0, 1), (1.5, 3), (1.0, 3), (0.5, 4), (1e9, 1)])
+    def test_rows_up_to_the_first_at_most_tol(self, tol, rows):
+        full = self.trace()
+        cut = full.until(tol)
+        assert (cut.rows, cut.status, cut.gamma) == (rows, solvers.CONVERGED, 2.0)
+        for name in ("iterates", "natural_residuals", "operator_residuals", "shortcut_bounds"):
+            assert np.array_equal(getattr(cut, name), getattr(full, name)[:rows]), name
+            assert not getattr(cut, name).flags.writeable
+
+    def test_no_row_at_most_tol_keeps_the_whole_trace(self):
+        full = self.trace()
+        assert full.until(0.25) is full
+
+    def test_missing_columns_stay_missing(self):
+        cut = self.trace(with_reference=False).until(1.0)
+        assert cut.rows == 3
+        assert cut.operator_residuals is None and cut.shortcut_bounds is None
+
+    @pytest.mark.parametrize("i", range(0, LOOP_INSTANCES, 5))
+    def test_prefix_of_a_longer_run_is_the_shorter_run(self, monkeypatch, i):
+        inst = loop_instance(i)
+        args = (inst["op"], inst["set_"], inst["cfg"], inst["x0"])
+        short = solve_projected_gradient(*args, x_ref=inst["x_ref"])
+        longer = replace(inst["cfg"], residual_tol=inst["cfg"].residual_tol * 1e-3)
+        long = solve_projected_gradient(*args[:2], longer, args[3], x_ref=inst["x_ref"])
+        assert long.rows >= short.rows
+        assert_same_trace(long.until(inst["cfg"].residual_tol), short)
+        assert_same_trace(long.until(inst["cfg"].residual_tol),
+                          literal_solve(monkeypatch, solve_projected_gradient, *args,
+                                        x_ref=inst["x_ref"]))
+
+
+class TestShapeMessages:
+    """An array with the wrong number of axes is named by its shape; a 1-D
+    array of the wrong length keeps the "has dimension" message."""
+
+    def test_start_point(self):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^x0 has shape \(1, 2\), expected \(2,\)$") as excinfo:
+            solve_projected_gradient(shifted_identity([0.5, 0.5]), UNIT_BOX,
+                                     IterationConfig(step=1.0), [[0.0, 0.0]])
+        assert (excinfo.value.expected, excinfo.value.actual) == (2, (1, 2))
+
+    def test_anchor(self):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^anchor has shape \(2, 1\), expected \(2,\)$"):
+            solve_halpern(shifted_identity([0.5, 0.5]), UNIT_BOX, Identity(),
+                          IterationConfig(step=1.0), [0.0, 0.0], anchor=[[0.0], [0.0]])
+
+    def test_projected_point(self):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^vector has shape \(1, 2\), expected \(2,\)$"):
+            UNIT_BOX.project([[0.5, 0.5]])
+
+    @pytest.mark.parametrize("x,shape", [([[1.0, 2.0]], "(1, 2)"), (1.0, "()")])
+    def test_evaluated_point(self, x, shape):
+        op = shifted_identity([0.5, 0.5])
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^vector has shape {re.escape(shape)}, expected \(2,\)$"):
+            evaluate(op, x)
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^vector has shape {re.escape(shape)}, expected \(2,\)$"):
+            solve_projected_gradient(op, UNIT_BOX, IterationConfig(step=1.0), [0.0, 0.0], x_ref=x)
+
+    def test_one_dimensional_length_keeps_its_message(self):
+        err = DimensionMismatchError(2, (3,), what="x0")
+        assert (str(err), err.actual) == ("x0 has dimension 3, expected 2", 3)
+        assert str(DimensionMismatchError(2, 3)) == "vector has dimension 3, expected 2"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

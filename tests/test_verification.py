@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vikit.errors import ValidationError
+from vikit.errors import DimensionMismatchError, ValidationError
 from vikit.geometry import Ball, Box, Simplex
 from vikit.operators import (
     AffineOperator,
@@ -112,7 +112,8 @@ class TestBruteForceVi:
     def test_operator_and_grid_dimensions_must_match(self):
         grid = BruteForceGrid(set_=UNIT_BOX, h=0.1)
         op3 = AffineOperator(matrix=np.eye(3), offset=np.zeros(3))
-        with pytest.raises(ValidationError):
+        with pytest.raises(DimensionMismatchError,
+                           match="^constraint set has dimension 2, expected 3$"):
             brute_force_vi(op3, grid)
 
 
