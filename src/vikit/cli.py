@@ -246,11 +246,6 @@ def write_trace_csv(path: Path, trace: IterationTrace, x_star=None) -> None:
     _atomic_write(path, "\n".join([*_csv_lines(trace, x_star), ""]))
 
 
-def _default_moduli(op: AffineOperator) -> tuple[float, float, float]:
-    certified = certify_moduli(op)
-    return 0.0, certified.strong_monotonicity, certified.lipschitz
-
-
 def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[VerificationReport]]:
     op, seed, set_, cfg = scenario.operator, scenario.seed, scenario.set_, scenario.config
     records: dict = {}
@@ -299,7 +294,11 @@ def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[Verificati
             records[task] = {**fields, "trace_csv": csv_name}
 
         elif task == "verify_lemma22":
-            m, v, eps = scenario.moduli or _default_moduli(op)
+            if scenario.moduli is None:
+                certified = certify_moduli(op)
+                m, v, eps = 0.0, certified.strong_monotonicity, certified.lipschitz
+            else:
+                m, v, eps = scenario.moduli
             report, gamma = lemma_cocoercive_expansive(op, m, v, eps)
             reports.append(report)
             records[task] = {"gamma": gamma, "report": report.as_dict()}
@@ -358,7 +357,6 @@ def run_scenario(
     name = name if _is_plain_stem(name) else path.stem
     try:
         scenario = Scenario.from_dict(doc)
-        name = scenario.name
         if seed is not None:
             scenario = replace(scenario, seed=seed)
         if max_iters is not None:

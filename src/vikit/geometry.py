@@ -96,6 +96,8 @@ class Ball(ConvexSet):
     def _project(self, x):
         d = x - self.center
         dist = math.sqrt(d @ d)
+        if dist == math.inf:  # |d|^2 overflowed; hypot scales, so |d| is finite
+            dist = math.hypot(*d)
         if dist <= self.radius:
             return x
         return self.center + (self.radius / dist) * d
@@ -194,15 +196,3 @@ def contains(set_: ConvexSet, x, tol: float = 0.0) -> bool:
         raise ValidationError("tolerance must be nonnegative")
     x = np.asarray(x, dtype=float)
     return float(np.linalg.norm(x - set_.project(x))) <= tol
-
-
-__all__ = [
-    "ConvexSet",
-    "Box",
-    "Ball",
-    "Halfspace",
-    "Simplex",
-    "AffineSubspace",
-    "project",
-    "contains",
-]

@@ -28,7 +28,6 @@ RELATIVE_TOLERANCE = 1e-12
 EXACT_NOTE = f"exact: lambda_min(Q) >= -{RELATIVE_TOLERANCE:g} * S over all pairs"
 SAMPLE_LOW = -10.0
 SAMPLE_HIGH = 10.0
-DEFAULT_SAMPLE_COUNT = 10_000
 
 
 @dataclass(frozen=True)
@@ -134,19 +133,13 @@ def certify_moduli(op: AffineOperator) -> OperatorModuli:
     return op.moduli
 
 
-def sample_pairs(
-    dim: int,
-    count: int = DEFAULT_SAMPLE_COUNT,
-    seed: int = 0,
-    low: float = SAMPLE_LOW,
-    high: float = SAMPLE_HIGH,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded uniform sample of ``count`` point pairs in [low, high]^dim."""
+def sample_pairs(dim: int, count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform sample of ``count`` point pairs in [SAMPLE_LOW, SAMPLE_HIGH]^dim."""
     if count < 1:
         raise ValidationError("sample count must be positive")
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(low, high, size=(count, dim))
-    ys = rng.uniform(low, high, size=(count, dim))
+    xs = rng.uniform(SAMPLE_LOW, SAMPLE_HIGH, size=(count, dim))
+    ys = rng.uniform(SAMPLE_LOW, SAMPLE_HIGH, size=(count, dim))
     return xs, ys
 
 
@@ -219,17 +212,3 @@ def check_expansive(op: AffineOperator, gamma: float) -> VerificationReport:
         raise ValidationError("expansiveness modulus gamma must be finite and positive")
     # gamma * gamma, not gamma**2: a huge gamma gives inf, not OverflowError.
     return _check_forms(op, f"expansive(gamma={gamma:g})", [(0.0, 1.0, -gamma * gamma)])
-
-
-__all__ = [
-    "AffineOperator",
-    "OperatorModuli",
-    "evaluate",
-    "certify_moduli",
-    "sample_pairs",
-    "check_ism",
-    "check_relaxed_cocoercive",
-    "check_expansive",
-    "RELATIVE_TOLERANCE",
-    "DEFAULT_SAMPLE_COUNT",
-]

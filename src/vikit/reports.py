@@ -30,9 +30,6 @@ class VerificationReport:
     seed: int | None = None
     note: str | None = None
 
-    def passed(self) -> bool:
-        return self.status == PASS
-
     def as_dict(self) -> dict:
         """JSON-ready form; field names are part of the external interface."""
         witness = None
@@ -55,7 +52,6 @@ def pairwise_report(
     xs: np.ndarray,
     ys: np.ndarray,
     seed: int | None = None,
-    note: str | None = None,
 ) -> VerificationReport:
     """Build a report from per-pair slack deficits.
 
@@ -81,5 +77,4 @@ def pairwise_report(
         samples_used=k,
         max_violation=max_violation,
         seed=seed,
-        note=note,
     )

@@ -266,7 +266,7 @@ def _run(op, set_, cfg, x0, x_ref, advance) -> IterationTrace:
         if not np.isfinite(x).all():
             raise DivergenceError(n + 1)
         if x.shape != proj.shape:
-            raise DimensionMismatchError(op.dim, x.size)
+            raise DimensionMismatchError(op.dim, x.shape)
         n += 1
 
     s = None if a_ref is None else np.asarray(op_residuals)
@@ -358,22 +358,3 @@ def compare_stopping(
         natural_iteration=_first_at_most(trace.natural_residuals, delta),
         trace=trace,
     )
-
-
-__all__ = [
-    "AnchorSchedule",
-    "IterationConfig",
-    "IterationTrace",
-    "NonexpansiveMap",
-    "Identity",
-    "ProjectionOnto",
-    "AffineAverage",
-    "solve_projected_gradient",
-    "solve_halpern",
-    "shortcut_distance_bound",
-    "compare_stopping",
-    "ComparisonRecord",
-    "CONVERGED",
-    "MAX_ITERS",
-    "DEFAULT_COMPARISON_DELTA",
-]

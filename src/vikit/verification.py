@@ -79,19 +79,13 @@ class BruteForceGrid:
             ]
             mesh = np.meshgrid(*axes, indexing="ij")
             return np.stack([m.ravel() for m in mesh], axis=1)
-        counts = list(_compositions(self._simplex_resolution(), self.set_.dim))
-        return np.array(counts, dtype=float) * self.h
-
-
-def _compositions(total: int, parts: int):
-    """All nonnegative integer tuples of length ``parts`` summing to ``total``,
-    in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+        # Lattice counts summing to k: every head in {0..k}^(n-1), in
+        # lexicographic order, with sum <= k, then the remainder k - sum.
+        k, n = self._simplex_resolution(), self.set_.dim
+        head = np.indices((k + 1,) * (n - 1)).reshape(n - 1, (k + 1) ** (n - 1)).T
+        head = head[head.sum(axis=1) <= k]
+        counts = np.column_stack([head, k - head.sum(axis=1)])
+        return counts.astype(float) * self.h
 
 
 def _extreme_nodes(pts: np.ndarray) -> np.ndarray:
@@ -198,14 +192,3 @@ def check_monotone_chain(op: AffineOperator, m: float, v: float, eps: float) -> 
         raise ValidationError("constants v and eps must be finite")
     name = f"monotone_chain(m={m:g},v={v:g},eps={eps:g})"
     return _check_forms(op, name, [(1.0, m, -v), (1.0, 0.0, 0.0)])
-
-
-__all__ = [
-    "VerificationReport",
-    "BruteForceGrid",
-    "brute_force_vi",
-    "check_singleton_vi",
-    "lemma_cocoercive_expansive",
-    "check_monotone_chain",
-    "GRID_POINT_GUARD",
-]

@@ -4,7 +4,8 @@ These deliberately avoid the code paths of the package under test: singular
 values come from power iteration on the Gram matrix or from a dense
 eigendecomposition of M^T M (never np.linalg.svd, which the package uses), and
 VI solutions come from grid search over an objective, or from the literal
-all-pairs grid scan, rather than from the package's own corner-node oracle.
+all-pairs grid scan, rather than from the package's own corner-node oracle;
+simplex grid points from a recursive generator of integer compositions.
 The solver loop and the trace CSV writer also have literal references here:
 a loop that re-checks every input through the public ``evaluate`` and
 ``project``, and a writer built on ``csv.writer``; so do the box, ball and
@@ -121,6 +122,18 @@ def literal_grid_vi(op, grid) -> np.ndarray:
     """Grid points x with <Ax, y - x> >= -vi_tolerance against every grid
     point y, in lexicographic row order."""
     return grid.points()[literal_vi_gaps(op, grid) >= -grid.vi_tolerance]
+
+
+def _compositions(total: int, parts: int):
+    """All nonnegative integer tuples of length ``parts`` summing to ``total``,
+    in lexicographic order: the simplex grid's recursive generator, before the
+    package built the lattice with ``np.indices``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
 
 
 def diameter(points: np.ndarray) -> float:

@@ -159,18 +159,49 @@ class TestProjectionBodies:
                   np.repeat(rng.normal(size=(n + 1) // 2), 2)[:n]):
             self.check(Simplex(n), x)
 
+    @staticmethod
+    def check_ball(ball, x):
+        """The earlier body's bits while |d|^2 is finite.  Where it overflows,
+        that body sent every point to the center; the projection computed
+        from d scaled by its largest entry is the reference there."""
+        d = x - ball.center
+        with np.errstate(over="ignore"):
+            overflows = np.isinf(d @ d)
+        if not overflows:
+            TestProjectionBodies.check(ball, x)
+            return
+        scale = np.max(np.abs(d))
+        length = scale * np.linalg.norm(d / scale)
+        got = ball._project(x)
+        if length <= ball.radius:
+            assert same_bits(got, x)
+        else:
+            expected = ball.center + (ball.radius / length) * d
+            atol = 1e-13 * (np.max(np.abs(ball.center)) + ball.radius)
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=atol)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("n", PROJECTION_DIMS)
     def test_entries_near_1e300(self, n):
-        # |d|^2 overflows to inf in both bodies, so a far point maps to the center
         rng = np.random.default_rng(800 + n)
         for _ in range(10):
             x = rng.uniform(-1.0, 1.0, n) * 1e300
             lower = rng.uniform(-1.0, 0.0, n) * 1e300
             self.check(Box(lower=lower, upper=lower + rng.uniform(0.0, 1.0, n) * 1e300), x)
-            self.check(Ball(center=rng.uniform(-1.0, 1.0, n) * 1e300, radius=1e300), x)
-            self.check(Ball(center=np.zeros(n), radius=1.0), x)
+            self.check_ball(Ball(center=rng.uniform(-1.0, 1.0, n) * 1e300, radius=1e300), x)
+            self.check_ball(Ball(center=np.zeros(n), radius=1.0), x)
             self.check(Simplex(n), x)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_ball_far_point_reaches_the_sphere(self):
+        # |d|^2 = 1e400 overflows; the point still projects onto the sphere
+        got = Ball(center=[0.0, 0.0], radius=1.0).project([1e200, 0.0])
+        np.testing.assert_allclose(got, [1.0, 0.0], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_ball_huge_radius_keeps_an_inner_point(self):
+        x = np.array([1e200, 0.0])
+        assert same_bits(Ball(center=[0.0, 0.0], radius=1e300).project(x), x)
 
 
 # Each class that stores a finite vector field, with the field's name in its

@@ -627,3 +627,15 @@ class TestLoopErrors:
         with pytest.raises(DimensionMismatchError, match="^vector has dimension 2, expected 1$"):
             solve_halpern(op, Box(lower=[-1.0], upper=[1.0]), Doubling(),
                           IterationConfig(step=1.0), [0.5])
+
+    def test_user_map_that_changes_the_shape(self):
+        # n entries in a (1, n) array: the message names both shapes
+        class Row(NonexpansiveMap):
+            def apply(self, x):
+                return x.reshape(1, -1)
+
+        op = AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^vector has shape \(1, 2\), expected \(2,\)$"):
+            solve_halpern(op, Box(lower=[-1.0, -1.0], upper=[1.0, 1.0]), Row(),
+                          IterationConfig(step=1.0), [0.5, 0.5])

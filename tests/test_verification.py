@@ -26,6 +26,7 @@ from vikit.verification import (
 )
 
 from oracles import (
+    _compositions,
     diameter,
     literal_grid_vi,
     literal_vi_gaps,
@@ -61,6 +62,15 @@ class TestGrid:
         assert pts.shape[0] == grid.count()
         np.testing.assert_allclose(np.sum(pts, axis=1), 1.0, atol=1e-12)
         assert np.all(pts >= 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("h", [1.0, 0.5, 0.1, 0.01])
+    def test_simplex_points_match_the_recursive_generator(self, n, h):
+        grid = BruteForceGrid(set_=Simplex(n), h=h)
+        literal = np.array(list(_compositions(round(1.0 / h), n)), dtype=float) * h
+        got = grid.points()
+        assert got.dtype == literal.dtype and got.shape == literal.shape
+        assert got.tobytes() == literal.tobytes()
 
     def test_simplex_spacing_must_divide_one(self):
         with pytest.raises(ValidationError):
