@@ -337,11 +337,16 @@ def run_scenario(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        with open(path) as handle:
-            doc = json.load(handle)
+        doc = json.loads(path.read_bytes().decode("utf-8"))
     except json.JSONDecodeError as exc:
         print(f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}",
               file=sys.stderr)
+        return EXIT_BAD_JSON
+    except UnicodeDecodeError as exc:
+        print(f"scenario {path} is not UTF-8: {exc}", file=sys.stderr)
+        return EXIT_BAD_JSON
+    except RecursionError:
+        print(f"malformed JSON in {path}: nested too deeply to decode", file=sys.stderr)
         return EXIT_BAD_JSON
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)

@@ -96,8 +96,11 @@ class Ball(ConvexSet):
     def _project(self, x):
         d = x - self.center
         dist = math.sqrt(d @ d)
-        if dist == math.inf:  # |d|^2 overflowed; hypot scales, so |d| is finite
+        if dist == math.inf:  # |d|^2 overflowed; hypot scales, so |d| may be finite
             dist = math.hypot(*d)
+            if dist == math.inf:  # so |d| > radius; halving x and center keeps d's direction
+                d = x / 2 - self.center / 2
+                return self.center + self.radius * (d / math.hypot(*d))
         if dist <= self.radius:
             return x
         return self.center + (self.radius / dist) * d

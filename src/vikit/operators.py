@@ -6,8 +6,10 @@ smallest, and the strong-monotonicity constant the smallest eigenvalue of the
 symmetric part M_s = (M + M^T)/2.  Each pairwise inequality the ``check_*``
 functions verify is, with z = x - y, a quadratic form z^T Q z >= 0 for one
 symmetric Q built from M_s, M^T M and I, so it holds for every pair x, y iff
-lambda_min(Q) >= 0.  The checkers decide that from the eigenvalues of Q and on
-failure report the pair (w, 0) for a minimizing unit eigenvector w.
+lambda_min(Q) >= 0.  The spectra of M_s and M^T M are computed once per
+operator, so a Q with one matrix term, a T + c I, is decided from T's cached
+spectrum; only a Q with both terms takes an eigen-solve of its own.  On failure
+a checker reports the pair (w, 0) for a minimizing unit eigenvector w of Q.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class AffineOperator:
         singular = np.linalg.svd(self.matrix, compute_uv=False)
         eps = float(singular[0])
         gamma = float(singular[-1])
-        v = float(np.linalg.eigvalsh(self._sym)[0])
+        v = float(self._sym_spectrum[0])
         try:
             alpha = v / eps**2 if v > 0.0 else None
         except OverflowError:
@@ -94,12 +96,39 @@ class AffineOperator:
     @cached_property
     def _sym(self) -> np.ndarray:
         """The symmetric part M_s = (M + M^T)/2, formed on first use."""
-        return 0.5 * (self.matrix + self.matrix.T)
+        return _read_only(0.5 * (self.matrix + self.matrix.T))
 
     @cached_property
     def _gram(self) -> np.ndarray:
         """The Gram matrix M^T M, formed on first use."""
-        return self.matrix.T @ self.matrix
+        return _read_only(self.matrix.T @ self.matrix)
+
+    @cached_property
+    def _sym_spectrum(self) -> np.ndarray:
+        """eigvalsh(M_s), in ascending order, computed on first use."""
+        return _read_only(np.linalg.eigvalsh(self._sym))
+
+    @cached_property
+    def _gram_spectrum(self) -> np.ndarray:
+        """eigvalsh(M^T M), in ascending order, computed on first use."""
+        return _read_only(np.linalg.eigvalsh(self._gram))
+
+    @cached_property
+    def _sym_norm(self) -> float:
+        """|M_s|, the largest absolute row sum; inf or NaN when M_s overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.linalg.norm(self._sym, np.inf)
+
+    @cached_property
+    def _gram_norm(self) -> float:
+        """|M^T M|, the largest absolute row sum; inf or NaN when M^T M overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.linalg.norm(self._gram, np.inf)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -143,6 +172,16 @@ def sample_pairs(dim: int, count: int, seed: int = 0) -> tuple[np.ndarray, np.nd
     return xs, ys
 
 
+def _form(op: AffineOperator, a: float, b: float, c: float) -> np.ndarray:
+    """The matrix Q = a M_s + b M^T M + c I."""
+    q = c * np.eye(op.dim)
+    if a:
+        q += a * op._sym
+    if b:
+        q += b * op._gram
+    return q
+
+
 def _check_forms(op: AffineOperator, name: str, forms) -> VerificationReport:
     """Engine of the pairwise checkers.  Each (a, b, c) in ``forms`` is the
     inequality z^T Q z >= 0 for all z, with Q = a M_s + b M^T M + c I; for
@@ -152,32 +191,37 @@ def _check_forms(op: AffineOperator, name: str, forms) -> VerificationReport:
     -RELATIVE_TOLERANCE * S with S = |a| |M_s| + |b| |M^T M| + |c|, where |T| is
     the largest absolute row sum, a bound on the spectral norm of a symmetric
     T.  S scales with the terms, not with Q, which is ~0 at a tight modulus.
+    A form with one matrix term T and coefficient k is decided from T's cached
+    spectrum: lambda_min(Q) = k lambda_min(T) + c, or k lambda_max(T) + c when
+    k < 0.  Only a form with both terms forms Q and calls eigvalsh.
     The report's max_violation is the largest deficit -lambda_min(Q) - tol * S;
     a failing report's witness is (w, 0) for the unit eigenvector w of
-    lambda_min of the worst form.  A Q or S that overflows raises
-    ValidationError, since a non-finite Q has no meaningful spectrum.
+    lambda_min of the worst form's Q.  An S that overflows raises
+    ValidationError: every entry of Q is at most S in size, so a finite S
+    means a finite Q, and a non-finite Q has no meaningful spectrum.
     """
-    n = op.dim
-    forms_q, deficits = [], []
+    deficits = []
     for a, b, c in forms:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-            q = c * np.eye(n)
             scale = abs(c)
             if a:
-                q += a * op._sym
-                scale += abs(a) * np.linalg.norm(op._sym, np.inf)
+                scale += abs(a) * op._sym_norm
             if b:
-                q += b * op._gram
-                scale += abs(b) * np.linalg.norm(op._gram, np.inf)
-        if not (np.isfinite(q).all() and np.isfinite(scale)):
+                scale += abs(b) * op._gram_norm
+        if not np.isfinite(scale):
             raise ValidationError(f"{name}: the quadratic form overflows a float")
-        forms_q.append(q)
-        deficits.append(-np.linalg.eigvalsh(q)[0] - RELATIVE_TOLERANCE * scale)
+        if a and b:
+            lam = np.linalg.eigvalsh(_form(op, a, b, c))[0]
+        else:
+            k, spectrum = (a, op._sym_spectrum) if a else (b, op._gram_spectrum)
+            lam = k * spectrum[0 if k > 0.0 else -1] + c
+        deficits.append(-lam - RELATIVE_TOLERANCE * scale)
     worst = int(np.argmax(deficits))  # a NaN deficit counts as the worst
     max_violation = float(deficits[worst])
     witness = None
     if not max_violation <= 0.0:
-        witness = (np.linalg.eigh(forms_q[worst])[1][:, 0], np.zeros(n))
+        q = _form(op, *forms[worst])
+        witness = (np.linalg.eigh(q)[1][:, 0], np.zeros(op.dim))
     return VerificationReport(
         property=name,
         status=PASS if witness is None else FAIL,

@@ -12,7 +12,8 @@ a loop that re-checks every input through the public ``evaluate`` and
 simplex projections, as bodies that go through numpy's function wrappers.
 The pairwise checkers have a sampled counterpart: the ``sampled_*`` functions
 evaluate each inequality on explicit pairs (x, y), independent of the
-package's eigenvalue engine.
+package's eigenvalue engine.  That engine has a literal reference too,
+``reference_check_forms``, which forms every Q and calls eigvalsh on it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import math
 import numpy as np
 
 from vikit.errors import DimensionMismatchError, ValidationError
-from vikit.operators import AffineOperator
-from vikit.reports import PRECONDITION_VIOLATED, VerificationReport, pairwise_report
+from vikit.operators import EXACT_NOTE, RELATIVE_TOLERANCE, AffineOperator
+from vikit.reports import FAIL, PASS, PRECONDITION_VIOLATED, VerificationReport, pairwise_report
 
 
 def _lam_max(gram: np.ndarray, max_iters: int = 500_000, rtol: float = 1e-15) -> float:
@@ -464,3 +465,52 @@ def sampled_check_monotone_chain(
 
     name = f"monotone_chain(m={m:g},v={v:g},eps={eps:g})"
     return check_pairs(op, name, pairs, seed, deficits)
+
+
+# -- reference quadratic-form engine ------------------------------------------
+# The package's ``operators._check_forms`` as it was before the shared spectra:
+# every form builds its Q and takes its own eigvalsh, one-term forms included.
+
+
+def reference_check_forms(op: AffineOperator, name: str, forms) -> VerificationReport:
+    """Engine of the pairwise checkers.  Each (a, b, c) in ``forms`` is the
+    inequality z^T Q z >= 0 for all z, with Q = a M_s + b M^T M + c I; for
+    z = x - y it is the checker's inequality on the pair (x, y).
+
+    A form holds iff lambda_min(Q) >= 0, and it passes iff lambda_min(Q) >=
+    -RELATIVE_TOLERANCE * S with S = |a| |M_s| + |b| |M^T M| + |c|, where |T| is
+    the largest absolute row sum, a bound on the spectral norm of a symmetric
+    T.  S scales with the terms, not with Q, which is ~0 at a tight modulus.
+    The report's max_violation is the largest deficit -lambda_min(Q) - tol * S;
+    a failing report's witness is (w, 0) for the unit eigenvector w of
+    lambda_min of the worst form.  A Q or S that overflows raises
+    ValidationError, since a non-finite Q has no meaningful spectrum.
+    """
+    n = op.dim
+    forms_q, deficits = [], []
+    for a, b, c in forms:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+            q = c * np.eye(n)
+            scale = abs(c)
+            if a:
+                q += a * op._sym
+                scale += abs(a) * np.linalg.norm(op._sym, np.inf)
+            if b:
+                q += b * op._gram
+                scale += abs(b) * np.linalg.norm(op._gram, np.inf)
+        if not (np.isfinite(q).all() and np.isfinite(scale)):
+            raise ValidationError(f"{name}: the quadratic form overflows a float")
+        forms_q.append(q)
+        deficits.append(-np.linalg.eigvalsh(q)[0] - RELATIVE_TOLERANCE * scale)
+    worst = int(np.argmax(deficits))  # a NaN deficit counts as the worst
+    max_violation = float(deficits[worst])
+    witness = None
+    if not max_violation <= 0.0:
+        witness = (np.linalg.eigh(forms_q[worst])[1][:, 0], np.zeros(n))
+    return VerificationReport(
+        property=name,
+        status=PASS if witness is None else FAIL,
+        witness=witness,
+        max_violation=max_violation,
+        note=EXACT_NOTE,
+    )

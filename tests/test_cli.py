@@ -110,6 +110,28 @@ class TestRunScenario:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    @pytest.mark.parametrize("content,message", [
+        (b'{"name": "x\xff"}', "is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply to decode"),
+        (b"\xef\xbb\xbf" + json.dumps(BASE_SCENARIO).encode(),
+         "line 1 column 1: Unexpected UTF-8 BOM"),
+    ], ids=["not-utf8", "deep-nesting", "utf8-bom"])
+    def test_undecodable_file_exits_2_with_one_line(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(bad), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert list(out_dir.iterdir()) == []
+
+    def test_file_is_decoded_as_utf8(self, tmp_path):
+        doc = dict(BASE_SCENARIO, name="caf\u00e9", description="\u03bb = 0.4")
+        path = tmp_path / "utf8.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        assert cli.run_scenario(path, tmp_path / "out") == 0
+        assert read_reports(tmp_path / "out", "caf\u00e9")["scenario"] == "caf\u00e9"
+
     def test_step_precondition_exits_3(self, tmp_path):
         # alpha = 0.25 for diag(2, 1); lambda = 3 * alpha violates (0, 2 * alpha)
         doc_path = write_scenario(tmp_path, name="badstep",
@@ -647,3 +669,22 @@ class TestSharedTrajectory:
                                 record=False)
         else:
             assert written == ["cut.reports.json"]
+
+
+def test_full_scenario_takes_three_eigen_solves_and_one_svd(tmp_path, monkeypatch):
+    # the moduli's SVD and eigvalsh(M_s), eigvalsh(M^T M) for the one-term
+    # forms of verify_lemma22 and expansive, and eigvalsh(M_s - alpha M^T M)
+    calls = {"eigvalsh": 0, "eigh": 0, "svd": 0}
+
+    def counting(name, solve):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    doc = json.loads(cli.golden_path("box_diag").read_text())
+    assert sorted(doc["tasks"]) == sorted(cli.TASKS)
+    assert cli.run_scenario(cli.golden_path("box_diag"), tmp_path) == 0
+    assert calls == {"eigvalsh": 3, "eigh": 0, "svd": 1}

@@ -199,6 +199,20 @@ class TestProjectionBodies:
         np.testing.assert_allclose(got, [1.0, 0.0], rtol=1e-15, atol=0.0)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("center,x,radius,expected", [
+        ([-1e308, 0.0], [1e308, 0.0], 1.0, [-1e308, 0.0]),
+        ([-1e308, 0.0], [1e308, 0.0], 1e300, [-1e308 + 1e300, 0.0]),
+        ([-1e308, 0.0], [1e308, 0.0], 1e308, [0.0, 0.0]),
+        ([0.0, 0.0], [1.5e308, 1.5e308], 2.0, [2.0 ** 0.5, 2.0 ** 0.5]),
+        ([-1e308, 1.0], [1e308, 1.0], 1.0, [-1e308, 1.0]),
+    ])
+    def test_ball_point_out_of_float_range_of_the_center(self, center, x, radius, expected):
+        # d = x - center or |d| overflows: the point still projects onto the
+        # sphere, along x/2 - center/2
+        got = Ball(center=center, radius=radius).project(x)
+        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_ball_huge_radius_keeps_an_inner_point(self):
         x = np.array([1e200, 0.0])
         assert same_bits(Ball(center=[0.0, 0.0], radius=1e300).project(x), x)

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from vikit import operators, verification
 from vikit.errors import DimensionMismatchError, ValidationError
 from vikit.geometry import Ball, Box, Simplex
 from vikit.operators import (
     AffineOperator,
+    _check_forms,
     certify_moduli,
     check_expansive,
     check_ism,
@@ -31,6 +33,7 @@ from oracles import (
     literal_grid_vi,
     literal_vi_gaps,
     random_monotone_operator,
+    reference_check_forms,
     sampled_check_expansive,
     sampled_check_ism,
     sampled_check_monotone_chain,
@@ -526,6 +529,144 @@ class TestSampledCrossCheck:
         assert kinds == set(CROSS_CHECK_KINDS)
         assert dims == {1, 2, 3, 4, 5, 50}
         assert {"Pass", "Fail", "Fail missed by sampling"} <= seen
+
+
+ENGINE_SCALES = [1e-150, 1e-8, 1.0, 1e8, 1e150]
+
+
+def tight_cases(dim: int, seed: int, scale: float):
+    """(operator, checker, constants) at tight moduli, as in the operator
+    tests: ``scale`` times a symmetric positive definite matrix with alpha =
+    1/lambda_max, and ``scale`` times R + 2I with gamma = sigma_min from the
+    SVD, each exact and 1e-6 above."""
+    rng = np.random.default_rng(1100 + 10 * dim + seed)
+    q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    symmetric = scale * (q @ np.diag(rng.uniform(0.5, 3.0, dim)) @ q.T)
+    general = scale * (rng.uniform(-1.0, 1.0, (dim, dim)) + 2.0 * np.eye(dim))
+    alpha = 1.0 / np.linalg.eigvalsh(symmetric)[-1]
+    gamma = np.linalg.svd(general, compute_uv=False)[-1]
+    for f in (1.0, 1.0 + 1e-6):
+        yield AffineOperator(matrix=symmetric, offset=np.zeros(dim)), check_ism, (alpha * f,)
+        yield AffineOperator(matrix=general, offset=np.zeros(dim)), check_expansive, (gamma * f,)
+
+
+def engine_cases(op: AffineOperator):
+    """(checker, constants) pairs of the sampled cross-check, at, below and
+    above the operator's own moduli, covering every checker, u = 0 and u > 0."""
+    return [(exact, constants) for exact, _, constants in cross_check_cases(op)]
+
+
+class TestSharedSpectraEngine:
+    """The engine that decides a one-term form from the cached spectrum of its
+    term against the reference that forms every Q and calls eigvalsh on it
+    (``oracles.reference_check_forms``): the same status, witness bytes and
+    error, and max_violation within 64 n eps S, S the largest form scale."""
+
+    @staticmethod
+    def outcomes(monkeypatch, checker, op, constants):
+        """The checker's report or ValidationError text under the engine, then
+        under the reference, and the forms the engine was given."""
+        forms_seen = []
+
+        def recording(op_, name, forms):
+            forms_seen.extend(forms)
+            return _check_forms(op_, name, forms)
+
+        results = []
+        for engine in (recording, reference_check_forms):
+            monkeypatch.setattr(operators, "_check_forms", engine)
+            monkeypatch.setattr(verification, "_check_forms", engine)
+            try:
+                results.append(verdict(checker, op, constants))
+            except ValidationError as exc:
+                results.append(str(exc))
+        return results, forms_seen
+
+    def assert_same_reports(self, monkeypatch, op, cases):
+        eps = np.finfo(float).eps
+        for checker, constants in cases:
+            (new, ref), forms = self.outcomes(monkeypatch, checker, op, constants)
+            if isinstance(ref, str) or not forms:  # an overflow or a precondition
+                assert new == ref, constants
+                continue
+            assert new.status == ref.status, (checker.__name__, constants)
+            assert (new.property, new.note, new.samples_used, new.seed) == (
+                ref.property, ref.note, ref.samples_used, ref.seed)
+            if ref.witness is None:
+                assert new.witness is None
+            else:
+                assert [w.tobytes() for w in new.witness] == [w.tobytes() for w in ref.witness]
+            with np.errstate(over="ignore"):  # an unused term may overflow
+                norms = (np.linalg.norm(op._sym, np.inf), np.linalg.norm(op._gram, np.inf))
+            scale = max(abs(c) + (abs(a) * norms[0] if a else 0.0)
+                        + (abs(b) * norms[1] if b else 0.0) for a, b, c in forms)
+            assert abs(new.max_violation - ref.max_violation) <= 64 * op.dim * eps * scale
+            if all(a and b for a, b, _ in forms):  # Q formed as before, so bit-equal
+                assert new.max_violation == ref.max_violation
+
+    @pytest.mark.parametrize("i", range(CROSS_CHECK_SMALL + CROSS_CHECK_LARGE))
+    def test_cross_check_operators(self, monkeypatch, i):
+        op = cross_check_operator(i)
+        self.assert_same_reports(monkeypatch, op, engine_cases(op))
+
+    def test_goldens(self, monkeypatch, golden_scenarios):
+        for sc in golden_scenarios:
+            self.assert_same_reports(monkeypatch, sc.operator, engine_cases(sc.operator))
+
+    @pytest.mark.parametrize("scale", ENGINE_SCALES)
+    def test_tight_constants(self, monkeypatch, scale):
+        for dim, seed in itertools.product([1, 2, 5, 50], [0, 1]):
+            for op, checker, constants in tight_cases(dim, seed, scale):
+                self.assert_same_reports(monkeypatch, op, [(checker, constants)])
+
+    @pytest.mark.parametrize("scale", ENGINE_SCALES)
+    def test_scaled_operators(self, monkeypatch, scale):
+        for i in range(0, CROSS_CHECK_SMALL + CROSS_CHECK_LARGE, 7):
+            matrix = scale * cross_check_operator(i).matrix
+            op = AffineOperator(matrix=matrix, offset=np.zeros(len(matrix)))
+            self.assert_same_reports(monkeypatch, op, engine_cases(op))
+
+    @pytest.mark.parametrize("i", range(0, CROSS_CHECK_SMALL + CROSS_CHECK_LARGE, 3))
+    def test_negative_one_term_coefficients(self, i):
+        # no checker builds a one-term form with a negative coefficient, which
+        # the engine decides from lambda_max of the term
+        op = cross_check_operator(i)
+        top = [float(np.linalg.eigvalsh(t)[-1]) for t in (op._sym, op._gram)]
+        eps = np.finfo(float).eps
+        for f in (0.5, 1.0, 1.0 + 1e-3, 2.0):
+            for form in ((-1.0, 0.0, f * top[0] + 0.1), (0.0, -2.0, 2.0 * f * top[1])):
+                new, ref = (engine(op, "negative", [form])
+                            for engine in (_check_forms, reference_check_forms))
+                assert new.status == ref.status
+                if ref.witness is not None:
+                    assert new.witness[0].tobytes() == ref.witness[0].tobytes()
+                scale = abs(form[2]) + 2.0 * max(
+                    np.linalg.norm(op._sym, np.inf), np.linalg.norm(op._gram, np.inf))
+                assert abs(new.max_violation - ref.max_violation) <= 64 * op.dim * eps * scale
+
+    def test_overflowing_terms_raise_in_both(self, monkeypatch):
+        op = AffineOperator(matrix=1e155 * np.eye(2), offset=[0.0, 0.0])
+        cases = [(check_expansive, (1.0,)), (check_ism, (1e-155,)),
+                 (check_relaxed_cocoercive, (1.0, 1.0)), (check_relaxed_cocoercive, (0.0, 1e155)),
+                 (check_monotone_chain, (0.0, 1e155, 1.0)), (check_expansive, (1e200,))]
+        self.assert_same_reports(monkeypatch, op, cases)
+
+    def test_cases_cover_every_checker_and_verdict(self):
+        seen = set()
+        for i in range(CROSS_CHECK_SMALL + CROSS_CHECK_LARGE):
+            op = cross_check_operator(i)
+            for checker, constants in engine_cases(op):
+                report = verdict(checker, op, constants)
+                two_terms = checker is check_ism or (
+                    checker in (check_relaxed_cocoercive, check_monotone_chain)
+                    and constants[0] > 0.0)
+                seen.add((checker.__name__, two_terms, report.status))
+        for name in ("check_relaxed_cocoercive", "check_monotone_chain"):
+            for two_terms in (False, True):
+                assert {(name, two_terms, "Pass"), (name, two_terms, "Fail")} <= seen
+        for name, two_terms in (("check_ism", True), ("check_expansive", False),
+                                ("lemma_cocoercive_expansive", False)):
+            assert {(name, two_terms, "Pass"), (name, two_terms, "Fail")} <= seen
 
 
 class TestReportShape:
