@@ -16,7 +16,6 @@ import sys
 import tempfile
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +101,6 @@ class Scenario:
     moduli: tuple[float, float, float] | None = None
     grid: BruteForceGrid | None = None
     delta: float = DEFAULT_COMPARISON_DELTA
-    description: str = ""
 
     def __post_init__(self):
         if not _is_plain_stem(self.name):
@@ -160,7 +158,6 @@ class Scenario:
                     float(_field(moduli, key, "moduli spec")) for key in ("m", "v", "eps")),
                 grid=_grid(doc.get("grid"), set_, tasks),
                 delta=float(doc.get("delta", DEFAULT_COMPARISON_DELTA)),
-                description=str(doc.get("description", "")),
             )
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"mistyped scenario field: {exc}") from exc
@@ -215,6 +212,26 @@ def _map(doc) -> NonexpansiveMap:
 def _is_plain_stem(name: str) -> bool:
     """True iff output files named after ``name`` stay inside the output directory."""
     return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
+def _stem_name(doc, path: Path) -> str:
+    """The decoded file's ``name`` when that is a plain stem, else the file's stem."""
+    name = str(doc.get("name", path.stem)) if isinstance(doc, dict) else path.stem
+    return name if _is_plain_stem(name) else path.stem
+
+
+def _read_json(path: Path) -> tuple[object, str | None]:
+    """(the file's bytes decoded as strict UTF-8 JSON, None), or (None, why not)."""
+    try:
+        return json.loads(path.read_bytes().decode("utf-8")), None
+    except json.JSONDecodeError as exc:
+        return None, f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+    except UnicodeDecodeError as exc:
+        return None, f"scenario {path} is not UTF-8: {exc}"
+    except RecursionError:
+        return None, f"malformed JSON in {path}: nested too deeply to decode"
+    except OSError as exc:
+        return None, f"cannot read scenario: {exc}"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -336,20 +353,9 @@ def run_scenario(
     path = Path(path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        doc = json.loads(path.read_bytes().decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        print(f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return EXIT_BAD_JSON
-    except UnicodeDecodeError as exc:
-        print(f"scenario {path} is not UTF-8: {exc}", file=sys.stderr)
-        return EXIT_BAD_JSON
-    except RecursionError:
-        print(f"malformed JSON in {path}: nested too deeply to decode", file=sys.stderr)
-        return EXIT_BAD_JSON
-    except OSError as exc:
-        print(f"cannot read scenario: {exc}", file=sys.stderr)
+    doc, reason = _read_json(path)
+    if reason is not None:
+        print(reason, file=sys.stderr)
         return EXIT_BAD_JSON
 
     overrides = {"seed": seed, "max_iters": max_iters}
@@ -357,9 +363,7 @@ def run_scenario(
     records: dict = {}
     reports: list[VerificationReport] = []
     error: str | None = None
-    # Until the scenario parses, an unusable name falls back to the file's stem.
-    name = str(doc.get("name", path.stem)) if isinstance(doc, dict) else path.stem
-    name = name if _is_plain_stem(name) else path.stem
+    name = _stem_name(doc, path)  # the report's name, even if the scenario fails to parse
     try:
         scenario = Scenario.from_dict(doc)
         if seed is not None:
@@ -393,7 +397,7 @@ def run_scenario(
 
 
 def golden_dir() -> Path:
-    return Path(str(resources.files("vikit") / "scenarios"))
+    return Path(__file__).with_name("scenarios")
 
 
 def golden_path(name: str) -> Path:
@@ -401,18 +405,13 @@ def golden_path(name: str) -> Path:
 
 
 def list_golden() -> list[tuple[str, str]]:
-    """Names and one-line descriptions of the bundled golden scenarios."""
-    directory = golden_dir()
-    if not directory.is_dir():
-        return []
+    """Names and descriptions of the bundled goldens, each read and named as by run."""
     entries = []
-    for item in sorted(directory.glob("*.json")):
-        try:
-            doc = json.loads(item.read_text())
-        except json.JSONDecodeError:
-            entries.append((item.stem, "(unreadable scenario file)"))
-            continue
-        entries.append((str(doc.get("name", item.stem)), str(doc.get("description", ""))))
+    for item in sorted(golden_dir().glob("*.json")):
+        doc, reason = _read_json(item)
+        unreadable = reason is not None or not isinstance(doc, dict)
+        entries.append((_stem_name(doc, item), "(unreadable scenario file)" if unreadable
+                        else str(doc.get("description", ""))))
     return entries
 
 

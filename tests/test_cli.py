@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +125,34 @@ class TestRunScenario:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
         assert list(out_dir.iterdir()) == []
+
+    def test_directory_as_scenario_exits_2_with_one_line(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(tmp_path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read scenario:") and err.count("\n") == 1
+        assert list(out_dir.iterdir()) == []
+
+    def test_lemma31_without_ism_modulus_exits_3_with_one_report(self, tmp_path):
+        skew = {"matrix": [[0.0, 1.0], [-1.0, 0.0]], "offset": [0.0, 0.0]}
+        doc_path = write_scenario(tmp_path, name="skew", operator=skew, tasks=["verify_lemma31"])
+        assert cli.run_scenario(doc_path, tmp_path) == 3
+        payload = read_reports(tmp_path, "skew")
+        assert payload["error"] is None
+        assert [(r["property"], r["status"]) for r in payload["reports"]] == [
+            ("ism_expansive_singleton", "PreconditionViolated")]
+
+    def test_overflowing_iterate_exits_4(self, tmp_path):
+        doc_path = write_scenario(
+            tmp_path, name="overflow",
+            operator={"matrix": np.eye(2).tolist(), "offset": [-1e130, -1e130]},
+            set={"type": "halfspace", "normal": [1e200, 1e200], "offset": 0.0},
+            config=dict(BASE_SCENARIO["config"], **{"lambda": 0.5}),
+            x0=[-1.0, -1.0], x_star=None, grid=None, tasks=["solve_pg"])
+        with pytest.warns(RuntimeWarning) as record:
+            assert cli.run_scenario(doc_path, tmp_path) == 4
+        assert [str(w.message) for w in record] == ["overflow encountered in matmul"] * 2
+        assert read_reports(tmp_path, "overflow")["error"] == "non-finite iterate at iteration 1"
 
     def test_file_is_decoded_as_utf8(self, tmp_path):
         doc = dict(BASE_SCENARIO, name="caf\u00e9", description="\u03bb = 0.4")
@@ -458,6 +487,34 @@ class TestListGolden:
         monkeypatch.setattr(cli, "golden_dir", lambda: tmp_path / "absent")
         assert cli.list_golden() == []
 
+    def test_file_run_cannot_decode_is_listed_unreadable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "golden_dir", lambda: tmp_path)
+        (tmp_path / "a_not_utf8.json").write_bytes(b'{"name": "x\xff"}')
+        (tmp_path / "b_deep.json").write_bytes(b"[" * 100_000 + b"]" * 100_000)
+        (tmp_path / "c_array.json").write_text("[1, 2]")
+        (tmp_path / "d.json").mkdir()
+        (tmp_path / "e_valid.json").write_text(
+            json.dumps(dict(BASE_SCENARIO, name="valid", description="a unit box")))
+        assert cli.list_golden() == [
+            ("a_not_utf8", "(unreadable scenario file)"),
+            ("b_deep", "(unreadable scenario file)"),
+            ("c_array", "(unreadable scenario file)"),
+            ("d", "(unreadable scenario file)"),
+            ("valid", "a unit box"),
+        ]
+        assert cli.main(["list-golden"]) == 0
+        assert capsys.readouterr().out.count("(unreadable scenario file)") == 4
+
+    @pytest.mark.parametrize("name", ["", "..", "a/b", 7])
+    def test_entry_is_named_like_the_report(self, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(cli, "golden_dir", lambda: tmp_path)
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps({"name": name, "description": "d"}))
+        out_dir = tmp_path / "out"
+        cli.run_scenario(path, out_dir)
+        (report,) = out_dir.glob("*.reports.json")
+        assert cli.list_golden() == [(report.name.removesuffix(".reports.json"), "d")]
+
 
 class TestMain:
     def test_run_subcommand(self, tmp_path):
@@ -469,6 +526,18 @@ class TestMain:
         assert cli.main(["list-golden"]) == 0
         out = capsys.readouterr().out
         assert "box_diag" in out
+
+    def test_list_golden_as_module_from_source_tree(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "vikit.cli", "list-golden"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = [line.split(":")[0] for line in proc.stdout.splitlines()]
+        assert names == ["box_diag", "box_identity", "box_rotation", "simplex_rotation"]
 
     def test_console_script_installed(self, tmp_path):
         doc_path = write_scenario(tmp_path, name="script")

@@ -263,6 +263,22 @@ class TestContainsExamples:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("make,message", [
+        (lambda: project(unit_box(), [np.nan, 0.5]), "point has non-finite entries"),
+        (lambda: Box(lower=[0.0, 0.0], upper=[1.0]), "box bounds must be vectors of equal length"),
+        (lambda: Box(lower=[0.0, np.nan], upper=[1.0, 1.0]), "box bounds must be finite"),
+        (lambda: Halfspace(normal=[1.0, 0.0], offset=np.inf), "halfspace offset must be finite"),
+        (lambda: AffineSubspace(basepoint=[0.0, 0.0], orthonormal_basis=[[1.0, 0.0, 0.0]]),
+         "basis vectors must match the basepoint dimension"),
+        (lambda: AffineSubspace(basepoint=[0.0, 0.0], orthonormal_basis=[[np.nan, 1.0]]),
+         "basis vectors must be finite"),
+    ], ids=["nan-point", "box-unequal-length", "box-nan-bound", "halfspace-inf-offset",
+            "affine-basis-width", "affine-nan-basis"])
+    def test_rejection_message(self, make, message):
+        with pytest.raises(ValidationError, match=f"^{message}$") as excinfo:
+            make()
+        assert type(excinfo.value) is ValidationError
+
     def test_box_bounds_ordered(self):
         with pytest.raises(ValidationError):
             Box(lower=[1.0, 0.0], upper=[0.0, 1.0])

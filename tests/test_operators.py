@@ -52,6 +52,13 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate(DIAG, [np.nan, 0.0])
 
+    def test_call_is_evaluate(self):
+        np.testing.assert_array_equal(DIAG([1.0, 0.0]), evaluate(DIAG, [1.0, 0.0]))
+        with pytest.raises(ValidationError, match="^input vector has non-finite entries$"):
+            DIAG([np.nan, 0.0])
+        with pytest.raises(DimensionMismatchError, match=r"^vector has dimension 3, expected 2$"):
+            DIAG([1.0, 2.0, 3.0])
+
 
 class TestConstruction:
     def test_non_square_rejected(self):
@@ -65,6 +72,15 @@ class TestConstruction:
     def test_offset_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("matrix,offset,message", [
+        (np.eye(2), [[0.0, 0.0]], r"offset must be a vector, got shape \(1, 2\)"),
+        (np.zeros((0, 0)), [], "operator dimension must be positive"),
+    ], ids=["offset-not-a-vector", "empty-matrix"])
+    def test_rejection_message(self, matrix, offset, message):
+        with pytest.raises(ValidationError, match=f"^{message}$") as excinfo:
+            AffineOperator(matrix=matrix, offset=offset)
+        assert type(excinfo.value) is ValidationError
 
 
 class TestCertifyModuli:

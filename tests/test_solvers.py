@@ -69,6 +69,10 @@ class TestAnchorSchedule:
         with pytest.raises(ConfigurationError):
             AnchorSchedule(rule="geometric", ratio=1.0)
 
+    def test_power_exponent_zero_rejected(self):
+        with pytest.raises(ConfigurationError, match="^anchor schedule exponent must be positive$"):
+            AnchorSchedule(rule="power", exponent=0.0)
+
 
 class TestIterationConfig:
     def test_defaults(self):

@@ -92,6 +92,10 @@ class TestGrid:
         with pytest.raises(ValidationError, match="dimension"):
             BruteForceGrid(set_=cube4, h=0.5)
 
+    def test_zero_spacing_rejected(self):
+        with pytest.raises(ValidationError, match="^grid spacing must be positive$"):
+            BruteForceGrid(set_=UNIT_BOX, h=0.0)
+
     def test_vi_tolerance_positive(self):
         with pytest.raises(ValidationError):
             BruteForceGrid(set_=UNIT_BOX, h=0.1, vi_tolerance=0.0)
