@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import ConfigurationError, DivergenceError, ValidationError, VikitError
 from .geometry import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex
@@ -209,9 +210,18 @@ def _map(doc) -> NonexpansiveMap:
     raise ValidationError(f"unknown nonexpansive map type '{kind}'")
 
 
+# The longest output file name: mkstemp's for "<name>.compare_stopping.trace.csv",
+# which adds 8 random characters and ".tmp"; a file name holds at most 255 bytes.
+_MAX_NAME_BYTES = 255 - max(len(f".{task}.trace.csvXXXXXXXX.tmp") for task in SOLVER_TASKS)
+
+
 def _is_plain_stem(name: str) -> bool:
-    """True iff output files named after ``name`` stay inside the output directory."""
-    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+    """True iff output files named after ``name`` stay inside the output directory
+    and each of their names encodes to at most 255 bytes."""
+    with suppress(UnicodeEncodeError):
+        return (len(os.fsencode(name)) <= _MAX_NAME_BYTES and name not in ("", ".", "..")
+                and not any(c in name for c in "/\\\0"))
+    return False
 
 
 def _stem_name(doc, path: Path) -> str:
@@ -220,14 +230,39 @@ def _stem_name(doc, path: Path) -> str:
     return name if _is_plain_stem(name) else path.stem
 
 
+# orjson's value is json's if it nests at most _FAST_DEPTH deep (json's limit is
+# ~1000) and has no number of magnitude >= 2**63 (orjson's float for a wider int).
+_FAST_DEPTH, _FAST_MAGNITUDE = 64, 2.0**63
+
+
+def _same_as_json(value, depth: int = 0) -> bool:
+    """True when orjson's decoded ``value`` is certainly what json would decode."""
+    value = list(value.values()) if isinstance(value, dict) else value
+    if not isinstance(value, list):
+        return not isinstance(value, (int, float)) or abs(value) < _FAST_MAGNITUDE
+    if depth == _FAST_DEPTH:
+        return False
+    if value and type(value[0]) in (int, float):
+        with suppress(TypeError):  # a non-number follows: check item by item
+            return -_FAST_MAGNITUDE < min(value) and max(value) < _FAST_MAGNITUDE
+    return all(_same_as_json(item, depth + 1) for item in value)
+
+
 def _read_json(path: Path) -> tuple[object, str | None]:
-    """(the file's bytes decoded as strict UTF-8 JSON, None), or (None, why not)."""
+    """(the file's bytes decoded as strict UTF-8 JSON, None), or (None, why not); json
+    decodes where orjson refuses the file or its value might differ from json's."""
     try:
-        return json.loads(path.read_bytes().decode("utf-8")), None
+        data = path.read_bytes()
+        with suppress(orjson.JSONDecodeError):
+            if _same_as_json(doc := orjson.loads(data)):
+                return doc, None
+        return json.loads(data.decode("utf-8")), None
     except json.JSONDecodeError as exc:
         return None, f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
     except UnicodeDecodeError as exc:
         return None, f"scenario {path} is not UTF-8: {exc}"
+    except ValueError as exc:  # an integer of more digits than int() converts
+        return None, f"scenario {path} holds an integer too long to decode: {exc}"
     except RecursionError:
         return None, f"malformed JSON in {path}: nested too deeply to decode"
     except OSError as exc:

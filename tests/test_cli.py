@@ -1,12 +1,17 @@
 import csv
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vikit import cli, solvers, verification
 from vikit.errors import ConfigurationError, DivergenceError, ValidationError
@@ -124,6 +129,17 @@ class TestRunScenario:
         assert cli.main(["run", str(bad), "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python converts integers of any length")
+    def test_integer_past_the_digit_limit_exits_2_with_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "big.json"
+        bad.write_text('{"name": "big", "seed": ' + "9" * 5000 + "}")
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(bad), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "integer too long to decode: Exceeds the limit" in err and err.count("\n") == 1
         assert list(out_dir.iterdir()) == []
 
     def test_directory_as_scenario_exits_2_with_one_line(self, tmp_path, capsys):
@@ -282,6 +298,30 @@ class TestRunScenario:
         payload = read_reports(out_dir, "scenario")
         assert payload["exit_status"] == 3
         assert "plain file stem" in payload["error"]
+
+    @pytest.mark.parametrize("name,fits", [
+        ("a" * 216, True),
+        ("\u00e9" * 108, True),
+        ("a" * 217, False),
+        ("\u00e9" * 109, False),
+        ("a" * 300, False),
+        ("x\ud800", False),
+    ], ids=["216-bytes", "216-bytes-utf8", "217-bytes", "218-bytes-utf8", "300-bytes",
+            "lone-surrogate"])
+    def test_name_must_fit_every_output_file_name(self, tmp_path, name, fits):
+        # the longest is the temp name of <name>.compare_stopping.trace.csv: 12 more bytes
+        doc_path = tmp_path / "scenario.json"
+        doc_path.write_text(json.dumps(dict(BASE_SCENARIO, name=name,
+                                            tasks=["solve_pg", "compare_stopping"])))
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == (0 if fits else 3)
+        written = sorted(p.name for p in out_dir.iterdir())
+        if fits:
+            assert written == [f"{name}.compare_stopping.trace.csv", f"{name}.reports.json",
+                               f"{name}.solve_pg.trace.csv"]
+        else:
+            assert written == ["scenario.reports.json"]
+            assert "plain file stem" in read_reports(out_dir, "scenario")["error"]
 
     @pytest.mark.parametrize(
         "changes",
@@ -505,6 +545,13 @@ class TestListGolden:
         assert cli.main(["list-golden"]) == 0
         assert capsys.readouterr().out.count("(unreadable scenario file)") == 4
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python converts integers of any length")
+    def test_integer_past_the_digit_limit_is_listed_unreadable(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "golden_dir", lambda: tmp_path)
+        (tmp_path / "big.json").write_text('{"name": "big", "seed": ' + "9" * 5000 + "}")
+        assert cli.list_golden() == [("big", "(unreadable scenario file)")]
+
     @pytest.mark.parametrize("name", ["", "..", "a/b", 7])
     def test_entry_is_named_like_the_report(self, tmp_path, monkeypatch, name):
         monkeypatch.setattr(cli, "golden_dir", lambda: tmp_path)
@@ -514,6 +561,107 @@ class TestListGolden:
         cli.run_scenario(path, out_dir)
         (report,) = out_dir.glob("*.reports.json")
         assert cli.list_golden() == [(report.name.removesuffix(".reports.json"), "d")]
+
+
+def test_600_deep_nesting_decodes_as_json_does(tmp_path):
+    # deeper than the Python-level recursion of a walk over orjson's value can go
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 600 + "1" + "]" * 600)
+    doc, reason = cli._read_json(path)
+    assert reason is None and doc == json.loads(path.read_text())
+
+def test_seed_beyond_64_bits_is_echoed_exactly(tmp_path):
+    doc = json.loads(cli.golden_path("box_diag").read_text())
+    doc.update(tasks=["verify_lemma31"], config=dict(doc["config"], seed=2**64 + 1))
+    doc_path = tmp_path / "box_diag.json"
+    doc_path.write_text(json.dumps(doc))
+    assert cli.run_scenario(doc_path, tmp_path / "out") == 0
+    reports = read_reports(tmp_path / "out", "box_diag")["reports"]
+    (singleton,) = [r for r in reports if r["property"].startswith("singleton_vi")]
+    assert singleton["seed"] == 18446744073709551617
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+def _midpoint_text(bits: int) -> str:
+    """The exact decimal midpoint between a positive double and the next one up."""
+    x = _double(bits)
+    mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    k = mid.denominator.bit_length() - 1  # the denominator is 2**k
+    return f"{mid.numerator * 5**k}e-{k}"
+
+
+def _mantissa_text(digits: int, point: int, exponent: int, negative: bool) -> str:
+    text = str(digits)
+    point = min(point, len(text))
+    mantissa = (text[:point] or "0") + ("." + text[point:] if text[point:] else "")
+    return f"{'-' if negative else ''}{mantissa}e{exponent}"
+
+
+def _string_text(head: str, escape: str, tail: str) -> str:
+    return json.dumps(head)[:-1] + escape + json.dumps(tail)[1:]
+
+
+# Numbers orjson accepts; the other scalars make it refuse the whole document.
+_JSON_NUMBERS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: json.dumps(_double(bits))),
+    st.builds(_mantissa_text, st.integers(1, 10**40 - 1), st.integers(0, 40),
+              st.integers(-330, 310), st.booleans()),
+    st.integers(1, 0x7FEF_FFFF_FFFF_FFFE).map(_midpoint_text),
+    st.one_of(st.integers(-(2**70), 2**70), st.integers(2**63, 2**70),
+              st.integers(-(2**70), -(2**63))).map(str),
+)
+_JSON_SCALARS = st.one_of(
+    _JSON_NUMBERS,
+    st.builds(_string_text, st.text(max_size=6),
+              st.sampled_from(["\\ud800", "\\udfff\\ud800", "\\ud83d\\ude00"]),
+              st.text(max_size=6)),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "true", "null"]),
+)
+
+
+def _json_trees(scalars):
+    return st.recursive(scalars, lambda children: st.one_of(
+        st.lists(children, max_size=4).map(lambda items: "[" + ",".join(items) + "]"),
+        st.lists(st.tuples(st.text(max_size=3).map(json.dumps), children), max_size=4).map(
+            lambda pairs: "{" + ",".join(f"{k}:{v}" for k, v in pairs) + "}"),
+    ), max_leaves=10)
+
+
+def _nest(text: str, depth: int, in_object: bool) -> str:
+    return ('{"k":' * depth + text + "}" * depth) if in_object else (
+        "[" * depth + text + "]" * depth)
+
+
+def assert_same_value(got, want):
+    """Same types throughout, the same bits for every float, equal otherwise."""
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_value(g, w)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_value(got[key], want[key])
+    else:
+        assert got == want
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.builds(_nest, _json_trees(_JSON_NUMBERS) | _json_trees(_JSON_SCALARS),
+                 st.integers(0, 100), st.booleans()))
+def test_read_json_decodes_as_json_does(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode("utf-8"))
+    doc, reason = cli._read_json(path)
+    assert reason is None
+    assert_same_value(doc, json.loads(text))
 
 
 class TestMain:
