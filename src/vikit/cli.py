@@ -225,14 +225,20 @@ def _is_plain_stem(name: str) -> bool:
 
 
 def _stem_name(doc, path: Path) -> str:
-    """The decoded file's ``name`` when that is a plain stem, else the file's stem."""
+    """The decoded file's ``name`` when that is a plain stem, else the file's stem
+    cut at a character boundary to at most _MAX_NAME_BYTES bytes."""
     name = str(doc.get("name", path.stem)) if isinstance(doc, dict) else path.stem
-    return name if _is_plain_stem(name) else path.stem
+    stem = path.stem
+    while len(os.fsencode(stem)) > _MAX_NAME_BYTES:
+        stem = stem[:-1]
+    return name if _is_plain_stem(name) else stem
 
 
 # orjson's value is json's if it nests at most _FAST_DEPTH deep (json's limit is
 # ~1000) and has no number of magnitude >= 2**63 (orjson's float for a wider int).
-_FAST_DEPTH, _FAST_MAGNITUDE = 64, 2.0**63
+# orjson recurses on the C stack (~160 bytes a level), so it reads only a file of
+# at most _FAST_BRACKETS "[" and "{", a bound on the depth; ~0.65 MB of stack.
+_FAST_DEPTH, _FAST_MAGNITUDE, _FAST_BRACKETS = 64, 2.0**63, 4096
 
 
 def _same_as_json(value, depth: int = 0) -> bool:
@@ -253,9 +259,10 @@ def _read_json(path: Path) -> tuple[object, str | None]:
     decodes where orjson refuses the file or its value might differ from json's."""
     try:
         data = path.read_bytes()
-        with suppress(orjson.JSONDecodeError):
-            if _same_as_json(doc := orjson.loads(data)):
-                return doc, None
+        if data.count(b"[") + data.count(b"{") <= _FAST_BRACKETS:
+            with suppress(orjson.JSONDecodeError):
+                if _same_as_json(doc := orjson.loads(data)):
+                    return doc, None
         return json.loads(data.decode("utf-8")), None
     except json.JSONDecodeError as exc:
         return None, f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -28,12 +28,18 @@ class ConvexSet:
         raise NotImplementedError
 
     def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionMismatchError(self.dim, x.shape)
-        if not np.all(np.isfinite(x)):
-            raise ValidationError("point has non-finite entries")
-        return x
+        return _point(x, self.dim, finite_what="point")
+
+
+def _point(x, dim: int, what: str = "vector", finite_what: str | None = None) -> np.ndarray:
+    """``x`` as a finite float vector of length ``dim``; the errors name ``what``
+    (a non-finite entry names ``finite_what`` when that is given)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise DimensionMismatchError(dim, x.shape, what=what)
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{finite_what or what} has non-finite entries")
+    return x
 
 
 def _finite_vector(obj, name: str, what: str) -> np.ndarray:

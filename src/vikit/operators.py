@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
+from .geometry import _point
 from .reports import FAIL, PASS, VerificationReport
 from .reports import pairwise_report  # noqa: F401  (perfbench/tracing.py wraps this name)
 
@@ -69,9 +70,7 @@ class AffineOperator:
         """Exact moduli from the spectrum of M, computed on first access.
 
         lipschitz = sigma_max(M), expansiveness = sigma_min(M),
-        strong_monotonicity = lambda_min((M + M^T)/2).  The cocoercive pair
-        defaults to (0, v): a v-strongly monotone map is relaxed (u, v)-cocoercive
-        for any u >= 0, the slack term only weakens the bound.  Caching is sound
+        strong_monotonicity = lambda_min((M + M^T)/2).  Caching is sound
         because the matrix is read-only.  Raises ValidationError when
         v > 0 and the sigma_max(M)^2 in alpha overflows a float.
         """
@@ -90,7 +89,6 @@ class AffineOperator:
             strong_monotonicity=v,
             ism_alpha=alpha,
             expansiveness=gamma,
-            cocoercive_pair=(0.0, v),
         )
 
     @cached_property
@@ -144,17 +142,11 @@ class OperatorModuli:
     strong_monotonicity: float
     ism_alpha: float | None
     expansiveness: float
-    cocoercive_pair: tuple[float, float]
 
 
 def evaluate(op: AffineOperator, x) -> np.ndarray:
     """Apply the operator: Mx + q."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (op.dim,):
-        raise DimensionMismatchError(op.dim, x.shape)
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("input vector has non-finite entries")
-    return op.matrix @ x + op.offset
+    return op.matrix @ _point(x, op.dim, finite_what="input vector") + op.offset
 
 
 def certify_moduli(op: AffineOperator) -> OperatorModuli:

@@ -24,7 +24,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, DivergenceError, ValidationError
-from .geometry import ConvexSet, _finite_vector
+from .geometry import ConvexSet, _finite_vector, _point
 from .geometry import project  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .operators import AffineOperator, certify_moduli, evaluate
 
@@ -182,11 +182,11 @@ class AffineAverage(NonexpansiveMap):
         return (1.0 - self.t) * np.asarray(x, dtype=float) + self.t * self.fixed_point
 
 
-def shortcut_distance_bound(gamma: float, operator_residual: float) -> float:
-    """Distance bound |x - x*| <= |Ax - Ax*| / gamma for gamma-expansive operators."""
+def shortcut_distance_bound(gamma: float, operator_residual: float | np.ndarray):
+    """Distance bound |x - x*| <= |Ax - Ax*| / gamma, elementwise, for gamma-expansive A."""
     if not (np.isfinite(gamma) and gamma > 0.0):
         raise ConfigurationError("shortcut bound requires an expansiveness modulus gamma > 0")
-    if operator_residual < 0.0:
+    if np.any(operator_residual < 0.0):
         raise ValidationError("operator residual must be nonnegative")
     return operator_residual / gamma
 
@@ -220,13 +220,8 @@ def _check_inputs(op: AffineOperator, set_: ConvexSet, s_map=None, **vectors) ->
         if actual != op.dim:
             raise DimensionMismatchError(op.dim, actual, what=what)
     for what, vector in vectors.items():
-        if vector is None:
-            continue
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (op.dim,):
-            raise DimensionMismatchError(op.dim, vector.shape, what=what)
-        if not np.all(np.isfinite(vector)):
-            raise ValidationError(f"{what} has non-finite entries")
+        if vector is not None:
+            _point(vector, op.dim, what)
 
 
 def _run(op, set_, cfg, x0, x_ref, advance) -> IterationTrace:
@@ -274,7 +269,7 @@ def _run(op, set_, cfg, x0, x_ref, advance) -> IterationTrace:
         iterates=np.asarray(iterates),
         natural_residuals=np.asarray(residuals),
         operator_residuals=s,
-        shortcut_bounds=s / gamma if (s is not None and gamma > 0.0) else None,
+        shortcut_bounds=None if s is None or gamma <= 0.0 else shortcut_distance_bound(gamma, s),
         status=status,
         gamma=gamma,
     )

@@ -65,6 +65,16 @@ def parse(**changes):
     return cli.Scenario.from_dict(doc)
 
 
+# A file stem past the 216-byte name bound, and the report name it is cut to: at
+# a character boundary, so a 2-byte character that would end at byte 217 goes.
+LONG_STEMS = [
+    ("a" * 220, "a" * 216),
+    ("a" * 250, "a" * 216),
+    ("\u00e9" * 125, "\u00e9" * 108),
+    ("a" + "\u00e9" * 120, "a" + "\u00e9" * 107),
+]
+LONG_STEM_IDS = ["220-bytes", "250-bytes", "250-bytes-utf8", "241-bytes-utf8-odd"]
+
 SOLVE_BOTH = ["solve_pg", "solve_halpern"]
 CUBE5 = {
     "operator": {"matrix": np.eye(5).tolist(), "offset": [0.0] * 5},
@@ -323,6 +333,19 @@ class TestRunScenario:
             assert written == ["scenario.reports.json"]
             assert "plain file stem" in read_reports(out_dir, "scenario")["error"]
 
+    @pytest.mark.parametrize("name", [None, "a/b"], ids=["no-name", "non-plain-name"])
+    @pytest.mark.parametrize("stem,cut", LONG_STEMS, ids=LONG_STEM_IDS)
+    def test_long_file_stem_is_cut_to_the_name_bound(self, tmp_path, stem, cut, name):
+        doc = dict(BASE_SCENARIO, name=name)
+        if name is None:
+            del doc["name"]
+        doc_path = tmp_path / f"{stem}.json"
+        doc_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 3
+        assert [p.name for p in out_dir.iterdir()] == [f"{cut}.reports.json"]
+        assert read_reports(out_dir, cut)["scenario"] == cut
+
     @pytest.mark.parametrize(
         "changes",
         [
@@ -552,6 +575,12 @@ class TestListGolden:
         (tmp_path / "big.json").write_text('{"name": "big", "seed": ' + "9" * 5000 + "}")
         assert cli.list_golden() == [("big", "(unreadable scenario file)")]
 
+    @pytest.mark.parametrize("stem,cut", LONG_STEMS, ids=LONG_STEM_IDS)
+    def test_long_stem_is_cut_like_the_report_name(self, tmp_path, monkeypatch, stem, cut):
+        monkeypatch.setattr(cli, "golden_dir", lambda: tmp_path)
+        (tmp_path / f"{stem}.json").write_text(json.dumps({"name": "a/b", "description": "d"}))
+        assert cli.list_golden() == [(cut, "d")]
+
     @pytest.mark.parametrize("name", ["", "..", "a/b", 7])
     def test_entry_is_named_like_the_report(self, tmp_path, monkeypatch, name):
         monkeypatch.setattr(cli, "golden_dir", lambda: tmp_path)
@@ -569,6 +598,41 @@ def test_600_deep_nesting_decodes_as_json_does(tmp_path):
     path.write_text("[" * 600 + "1" + "]" * 600)
     doc, reason = cli._read_json(path)
     assert reason is None and doc == json.loads(path.read_text())
+
+
+# Nested past what orjson 3.8's recursive decoder survives on an 8 MB C stack
+# (~131 000 array or ~52 500 object levels), with a margin for larger stacks; run
+# in a child process, so a crash fails the test instead of ending pytest.
+DEEP_FILES = {"arrays": b"[" * 600_000 + b"]" * 600_000,
+              "objects": b'{"a":' * 250_000 + b"1" + b"}" * 250_000}
+
+
+def run_child(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+
+
+@pytest.mark.parametrize("kind", DEEP_FILES)
+def test_nesting_past_the_c_stack_exits_2_with_one_line(tmp_path, kind):
+    bad = tmp_path / "deep.json"
+    bad.write_bytes(DEEP_FILES[kind])
+    out_dir = tmp_path / "out"
+    proc = run_child("-m", "vikit.cli", "run", str(bad), "--out", str(out_dir))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"malformed JSON in {bad}: nested too deeply to decode\n"
+    assert list(out_dir.iterdir()) == []
+
+
+def test_nesting_past_the_c_stack_is_listed_unreadable(tmp_path):
+    for kind, content in DEEP_FILES.items():
+        (tmp_path / f"{kind}.json").write_bytes(content)
+    listing = ("import sys; from pathlib import Path; from vikit import cli; "
+               "cli.golden_dir = lambda: Path(sys.argv[1]); sys.exit(cli.main(['list-golden']))")
+    proc = run_child("-c", listing, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("arrays: (unreadable scenario file)\n"
+                           "objects: (unreadable scenario file)\n")
+
 
 def test_seed_beyond_64_bits_is_echoed_exactly(tmp_path):
     doc = json.loads(cli.golden_path("box_diag").read_text())
@@ -698,6 +762,19 @@ class TestMain:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "script.reports.json").exists()
+
+
+@pytest.mark.parametrize("exc", [OSError("rename failed"), KeyboardInterrupt()],
+                         ids=["oserror", "keyboard-interrupt"])
+def test_failed_atomic_write_propagates_and_leaves_no_temp_file(tmp_path, monkeypatch, exc):
+    def failing_replace(src, dst):
+        raise exc
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    with pytest.raises(type(exc)) as raised:
+        cli._atomic_write(tmp_path / "unit.reports.json", "{}\n")
+    assert raised.value is exc
+    assert list(tmp_path.iterdir()) == []
 
 
 SPECIAL_VALUES = [np.nan, np.inf, -0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0]

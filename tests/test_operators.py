@@ -98,7 +98,6 @@ class TestCertifyModuli:
         assert m.expansiveness == pytest.approx(1.0, abs=1e-12)
         assert m.strong_monotonicity == pytest.approx(1.0, abs=1e-12)
         assert m.ism_alpha == pytest.approx(0.25, abs=1e-12)
-        assert m.cocoercive_pair == (0.0, m.strong_monotonicity)
 
     def test_scaled_rotation(self):
         # M^T M = 2I so both singular values are sqrt(2); sym(M) = I
