@@ -47,7 +47,6 @@ from .solvers import (
 from .verification import (
     BruteForceGrid,
     brute_force_vi,
-    check_monotone_chain,
     check_singleton_vi,
     lemma_cocoercive_expansive,
 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -147,11 +148,16 @@ class Simplex(ConvexSet):
         if int(self.n) < 1:
             raise ValidationError("simplex dimension must be positive")
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "_ranks", np.arange(1, self.n + 1))
 
     @property
     def dim(self) -> int:
         return self.n
+
+    @cached_property
+    def _ranks(self) -> np.ndarray:
+        """1, ..., n, made on the first projection: a scenario's n is checked
+        against the operator's dimension only after construction."""
+        return np.arange(1, self.n + 1)
 
     def _project(self, x):
         # Sort-and-threshold; the >= keeps the largest feasible support on ties.
@@ -178,8 +184,9 @@ class AffineSubspace(ConvexSet):
             raise ValidationError("basis vectors must match the basepoint dimension")
         if not np.all(np.isfinite(basis)):
             raise ValidationError("basis vectors must be finite")
-        gram = basis @ basis.T
-        if basis.shape[0] and np.max(np.abs(gram - np.eye(basis.shape[0]))) > 1e-12:
+        # More than n rows cannot be orthonormal; refuse them before the k x k Gram.
+        k = basis.shape[0]
+        if k > b.shape[0] or (k and np.max(np.abs(basis @ basis.T - np.eye(k))) > 1e-12):
             raise ValidationError("basis vectors must be pairwise orthonormal within 1e-12")
         basis.setflags(write=False)
         object.__setattr__(self, "orthonormal_basis", basis)

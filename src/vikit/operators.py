@@ -6,10 +6,12 @@ smallest, and the strong-monotonicity constant the smallest eigenvalue of the
 symmetric part M_s = (M + M^T)/2.  Each pairwise inequality the ``check_*``
 functions verify is, with z = x - y, a quadratic form z^T Q z >= 0 for one
 symmetric Q built from M_s, M^T M and I, so it holds for every pair x, y iff
-lambda_min(Q) >= 0.  The spectra of M_s and M^T M are computed once per
-operator, so a Q with one matrix term, a T + c I, is decided from T's cached
-spectrum; only a Q with both terms takes an eigen-solve of its own.  On failure
-a checker reports the pair (w, 0) for a minimizing unit eigenvector w of Q.
+lambda_min(Q) >= 0.  Each operator takes one eigen-solve of M_s and one SVD
+of M, the moduli's, so a Q with one matrix term, a T + c I, is decided from T's
+cached spectrum: M_s's eigenvalues, or M^T M's as the squared singular values
+sigma(M)^2.  Only a Q with both terms takes an eigen-solve of its own.  On
+failure a checker reports the pair (w, 0) for a minimizing unit eigenvector w
+of Q.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .reports import pairwise_report  # noqa: F401  (perfbench/tracing.py wraps 
 
 # Dimensionless slack of the quadratic-form checks: Q passes iff
 # lambda_min(Q) >= -RELATIVE_TOLERANCE * S, S the spectral scale of Q's terms
-# (see ``_check_forms``); it absorbs the rounding of forming Q and of eigvalsh.
+# (see ``_check_forms``); it absorbs the rounding of forming Q, of eigvalsh and of the SVD.
 RELATIVE_TOLERANCE = 1e-12
 EXACT_NOTE = f"exact: lambda_min(Q) >= -{RELATIVE_TOLERANCE:g} * S over all pairs"
 SAMPLE_LOW = -10.0
@@ -74,9 +76,8 @@ class AffineOperator:
         because the matrix is read-only.  Raises ValidationError when
         v > 0 and the sigma_max(M)^2 in alpha overflows a float.
         """
-        singular = np.linalg.svd(self.matrix, compute_uv=False)
-        eps = float(singular[0])
-        gamma = float(singular[-1])
+        eps = float(self._singular[-1])
+        gamma = float(self._singular[0])
         v = float(self._sym_spectrum[0])
         try:
             alpha = v / eps**2 if v > 0.0 else None
@@ -107,9 +108,9 @@ class AffineOperator:
         return _read_only(np.linalg.eigvalsh(self._sym))
 
     @cached_property
-    def _gram_spectrum(self) -> np.ndarray:
-        """eigvalsh(M^T M), in ascending order, computed on first use."""
-        return _read_only(np.linalg.eigvalsh(self._gram))
+    def _singular(self) -> np.ndarray:
+        """sigma(M), in ascending order, from one SVD on first use."""
+        return _read_only(np.linalg.svd(self.matrix, compute_uv=False)[::-1])
 
     @cached_property
     def _sym_norm(self) -> float:
@@ -185,7 +186,8 @@ def _check_forms(op: AffineOperator, name: str, forms) -> VerificationReport:
     T.  S scales with the terms, not with Q, which is ~0 at a tight modulus.
     A form with one matrix term T and coefficient k is decided from T's cached
     spectrum: lambda_min(Q) = k lambda_min(T) + c, or k lambda_max(T) + c when
-    k < 0.  Only a form with both terms forms Q and calls eigvalsh.
+    k < 0, where the spectrum of M^T M is sigma(M)^2 from the moduli's SVD.
+    Only a form with both terms forms Q and calls eigvalsh.
     The report's max_violation is the largest deficit -lambda_min(Q) - tol * S;
     a failing report's witness is (w, 0) for the unit eigenvector w of
     lambda_min of the worst form's Q.  An S that overflows raises
@@ -204,9 +206,10 @@ def _check_forms(op: AffineOperator, name: str, forms) -> VerificationReport:
             raise ValidationError(f"{name}: the quadratic form overflows a float")
         if a and b:
             lam = np.linalg.eigvalsh(_form(op, a, b, c))[0]
+        elif a:
+            lam = a * op._sym_spectrum[0 if a > 0.0 else -1] + c
         else:
-            k, spectrum = (a, op._sym_spectrum) if a else (b, op._gram_spectrum)
-            lam = k * spectrum[0 if k > 0.0 else -1] + c
+            lam = b * op._singular[0 if b > 0.0 else -1] ** 2 + c
         deficits.append(-lam - RELATIVE_TOLERANCE * scale)
     worst = int(np.argmax(deficits))  # a NaN deficit counts as the worst
     max_violation = float(deficits[worst])

@@ -1,9 +1,10 @@
-"""Executable certificates: expansiveness derived from cocoercivity, a
-brute-force grid oracle for VI(C, A), and monotonicity-chain checks.
+"""Executable certificates: expansiveness derived from cocoercivity, and a
+brute-force grid oracle for VI(C, A).
 
-The Lemma 2.2 and monotonicity-chain checks are exact: each inequality is a
-quadratic form in z = x - y, decided by its smallest eigenvalue through the
-engine in ``operators``.
+The Lemma 2.2 check is exact: each of its inequalities is a quadratic form in
+z = x - y, decided by its smallest eigenvalue through the engine in
+``operators``.  The relaxed-cocoercive hypothesis behind it is
+``operators.check_relaxed_cocoercive``.
 
 The grid oracle accepts a grid point x iff <Ax, y - x> >= -vi_tolerance for
 every grid point y.  A linear function attains its minimum over the grid at a
@@ -181,14 +182,3 @@ def lemma_cocoercive_expansive(
         ), gamma
     return _check_forms(op, name, [(0.0, 1.0, -gamma * gamma), (1.0, 0.0, -gamma)]), gamma
 
-
-def check_monotone_chain(op: AffineOperator, m: float, v: float, eps: float) -> VerificationReport:
-    """Check the squared-form monotonicity chain for all pairs:
-    <Ax - Ay, x - y> >= -m|Ax - Ay|^2 + v|x - y|^2 (Q = M_s + m M^T M - v I)
-    and <Ax - Ay, x - y> >= 0 (Q = M_s)."""
-    if not (np.isfinite(m) and m >= 0.0):
-        raise ValidationError("cocoercivity constant m must be finite and nonnegative")
-    if not (np.isfinite(v) and np.isfinite(eps)):
-        raise ValidationError("constants v and eps must be finite")
-    name = f"monotone_chain(m={m:g},v={v:g},eps={eps:g})"
-    return _check_forms(op, name, [(1.0, m, -v), (1.0, 0.0, 0.0)])

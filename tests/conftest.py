@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from vikit.cli import Scenario, golden_path
@@ -11,6 +12,22 @@ GOLDEN_BOX_NAMES = ("box_identity", "box_diag", "box_rotation")
 
 def load_golden(name: str) -> Scenario:
     return Scenario.from_dict(json.loads(golden_path(name).read_text()))
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of the eigvalsh, eigh and svd calls of np.linalg made during the test."""
+    calls = {"eigvalsh": 0, "eigh": 0, "svd": 0}
+
+    def counting(name, solve):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
 
 
 @pytest.fixture(scope="session")

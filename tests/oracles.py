@@ -13,7 +13,9 @@ simplex projections, as bodies that go through numpy's function wrappers.
 The pairwise checkers have a sampled counterpart: the ``sampled_*`` functions
 evaluate each inequality on explicit pairs (x, y), independent of the
 package's eigenvalue engine.  That engine has a literal reference too,
-``reference_check_forms``, which forms every Q and calls eigvalsh on it.
+``reference_check_forms``, which forms every Q and calls eigvalsh on it; for a
+form in M^T M alone that is a route of its own, since the package reads M^T M's
+spectrum as the squared singular values of its SVD.
 """
 
 from __future__ import annotations
@@ -440,36 +442,10 @@ def sampled_lemma_cocoercive_expansive(
     return check_pairs(op, name, pairs, seed, deficits), gamma
 
 
-def sampled_check_monotone_chain(
-    op: AffineOperator,
-    m: float,
-    v: float,
-    eps: float,
-    pairs,
-    tolerance: float = SAMPLED_TOLERANCE,
-    seed: int | None = None,
-) -> VerificationReport:
-    """Check the squared-form monotonicity chain on every pair:
-    <Ax - Ay, x - y> >= -m|Ax - Ay|^2 + v|x - y|^2 and <Ax - Ay, x - y> >= 0."""
-    if not (np.isfinite(m) and m >= 0.0):
-        raise ValidationError("cocoercivity constant m must be finite and nonnegative")
-    if not (np.isfinite(v) and np.isfinite(eps)):
-        raise ValidationError("constants v and eps must be finite")
-
-    def deficits(z, dz):
-        inner = rowdot(dz, z)
-        return np.concatenate([
-            -m * rowdot(dz, dz) + v * rowdot(z, z) - inner - tolerance,
-            -inner - tolerance,
-        ])
-
-    name = f"monotone_chain(m={m:g},v={v:g},eps={eps:g})"
-    return check_pairs(op, name, pairs, seed, deficits)
-
-
 # -- reference quadratic-form engine ------------------------------------------
 # The package's ``operators._check_forms`` as it was before the shared spectra:
-# every form builds its Q and takes its own eigvalsh, one-term forms included.
+# every form builds its Q and takes its own eigvalsh, one-term forms included,
+# where the package reads a one-term form from eigvalsh(M_s) or the SVD of M.
 
 
 def reference_check_forms(op: AffineOperator, name: str, forms) -> VerificationReport:

@@ -410,6 +410,22 @@ class TestRunScenario:
         assert read_reports(out_dir, "shaped")["error"] == (
             f"{field} has shape (1, 2), expected (2,)")
 
+    @pytest.mark.parametrize("changes,error", [
+        ({"set": {"type": "simplex", "dim": 10**15}},
+         "constraint set has dimension 1000000000000000, expected 2"),
+        ({"map_s": {"type": "projection", "set": {"type": "simplex", "dim": 10**15}},
+          "tasks": SOLVE_BOTH},
+         "map_s set has dimension 1000000000000000, expected 2"),
+    ], ids=["set", "map_s-set"])
+    def test_huge_simplex_dim_exits_3_before_allocating(self, tmp_path, changes, error):
+        # a simplex makes its ranks 1..n on its first projection, so the
+        # dimension check refuses n = 10**15 before 8 PB are asked for
+        doc_path = write_scenario(tmp_path, name="huge_simplex", **changes)
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 3
+        assert [p.name for p in out_dir.iterdir()] == ["huge_simplex.reports.json"]
+        assert read_reports(out_dir, "huge_simplex")["error"] == error
+
     def test_overflowing_alpha_exits_3_naming_cause(self, tmp_path):
         # alpha = v / sigma_max^2 needs sigma_max^2 = 1e400, beyond a float
         operator = {"matrix": [[1e200, 0.0], [0.0, 1e200]], "offset": [0.0, 0.0]}
@@ -610,6 +626,24 @@ DEEP_FILES = {"arrays": b"[" * 600_000 + b"]" * 600_000,
 def run_child(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+
+
+def test_long_affine_basis_exits_3_under_an_address_space_limit(tmp_path):
+    # 20 000 basis rows in R^1 cannot be orthonormal; checked after their
+    # 20 000 x 20 000 Gram (3.2 GB), they crashed a child limited to 1.5 GB
+    doc_path = write_scenario(
+        tmp_path, name="long_basis", operator={"matrix": [[1.0]], "offset": [0.0]},
+        x0=[0.0], x_star=[0.0],
+        set={"type": "affine", "basepoint": [0.0], "orthonormal_basis": [[1.0]] * 20_000})
+    limited = ("import os, resource, sys; os.environ['OPENBLAS_NUM_THREADS'] = '1'; "
+               "limit = 1_500_000_000; hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+               "resource.setrlimit(resource.RLIMIT_AS, (limit, hard)); "
+               "from vikit import cli; sys.exit(cli.main(sys.argv[1:]))")
+    out_dir = tmp_path / "out"
+    proc = run_child("-c", limited, "run", str(doc_path), "--out", str(out_dir))
+    assert proc.returncode == 3, proc.stderr
+    assert read_reports(out_dir, "long_basis")["error"] == (
+        "basis vectors must be pairwise orthonormal within 1e-12")
 
 
 @pytest.mark.parametrize("kind", DEEP_FILES)
@@ -965,20 +999,10 @@ class TestSharedTrajectory:
             assert written == ["cut.reports.json"]
 
 
-def test_full_scenario_takes_three_eigen_solves_and_one_svd(tmp_path, monkeypatch):
-    # the moduli's SVD and eigvalsh(M_s), eigvalsh(M^T M) for the one-term
-    # forms of verify_lemma22 and expansive, and eigvalsh(M_s - alpha M^T M)
-    calls = {"eigvalsh": 0, "eigh": 0, "svd": 0}
-
-    def counting(name, solve):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return solve(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+def test_full_scenario_takes_two_eigen_solves_and_one_svd(tmp_path, linalg_calls):
+    # the moduli's SVD, whose sigma(M)^2 decides the one-term M^T M forms of
+    # verify_lemma22 and expansive, eigvalsh(M_s) and eigvalsh(M_s - alpha M^T M)
     doc = json.loads(cli.golden_path("box_diag").read_text())
     assert sorted(doc["tasks"]) == sorted(cli.TASKS)
     assert cli.run_scenario(cli.golden_path("box_diag"), tmp_path) == 0
-    assert calls == {"eigvalsh": 3, "eigh": 0, "svd": 1}
+    assert linalg_calls == {"eigvalsh": 2, "eigh": 0, "svd": 1}

@@ -13,6 +13,7 @@ from vikit.operators import (
     evaluate,
     sample_pairs,
 )
+from vikit.verification import lemma_cocoercive_expansive
 
 from oracles import (
     gram_spectral,
@@ -121,6 +122,17 @@ class TestCertifyModuli:
         assert certify_moduli(op) is first
         assert op.moduli is first
         assert len(calls) == 1
+
+    def test_one_term_gram_forms_read_the_moduli_svd(self, linalg_calls):
+        # M^T M - gamma^2 I is decided from sigma(M)^2 of the one SVD, with no
+        # eigen-solve; Lemma 2.2 adds only eigvalsh(M_s), which the moduli reuse
+        op = AffineOperator(matrix=[[2.0, 0.0], [0.0, 1.0]], offset=[-2.0, 1.0])
+        assert check_expansive(op, 1.0).status == "Pass"
+        assert linalg_calls == {"eigvalsh": 0, "eigh": 0, "svd": 1}
+        assert lemma_cocoercive_expansive(op, 0.0, 1.0, 2.0)[0].status == "Pass"
+        assert linalg_calls == {"eigvalsh": 1, "eigh": 0, "svd": 1}
+        certify_moduli(op)
+        assert linalg_calls == {"eigvalsh": 1, "eigh": 0, "svd": 1}
 
     def test_alpha_absent_without_strong_monotonicity(self):
         indefinite = AffineOperator(matrix=[[1.0, 0.0], [0.0, -1.0]], offset=[0.0, 0.0])
@@ -250,6 +262,26 @@ class TestCheckRelaxedCocoercive:
         sampled = sampled_check_relaxed_cocoercive(DIAG, 0.0, 1.5, [([0.0, 1.0], [0.0, 0.0])])
         assert sampled.status == "Fail"
         assert sampled.witness is not None
+
+    def test_scaled_rotation_with_exact_modulus(self):
+        # M_s = I, so Q = M_s - I = 0 at v = 1
+        assert check_relaxed_cocoercive(ROTATION, 0.0, 1.0).status == "Pass"
+        pairs = sample_pairs(2, count=1000, seed=5)
+        assert sampled_check_relaxed_cocoercive(ROTATION, 0.0, 1.0, pairs).status == "Pass"
+
+    def test_indefinite_operator_fails(self):
+        # <Mz, z> = -1 < 0.1 = v |z|^2 for z = (0, 1)
+        op = AffineOperator(matrix=[[1.0, 0.0], [0.0, -1.0]], offset=[0.0, 0.0])
+        report = check_relaxed_cocoercive(op, 0.0, 0.1)
+        assert report.status == "Fail"
+        wx, wy = report.witness
+        np.testing.assert_allclose(np.abs(wx), [0.0, 1.0], atol=1e-12)
+        np.testing.assert_array_equal(wy, [0.0, 0.0])
+        sampled = sampled_check_relaxed_cocoercive(op, 0.0, 0.1, [([0.0, 1.0], [0.0, 0.0])])
+        assert sampled.status == "Fail"
+        wx, wy = sampled.witness
+        np.testing.assert_array_equal(wx, [0.0, 1.0])
+        np.testing.assert_array_equal(wy, [0.0, 0.0])
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):

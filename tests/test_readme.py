@@ -1,10 +1,15 @@
-"""README's "Library example" runs and prints what its comments promise."""
+"""README's "Library example" runs and prints what its comments promise, and
+its table of checks names what the exported checkers report."""
 
+import inspect
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import vikit
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +33,31 @@ def test_library_example_prints_what_its_comments_say(capsys):
     assert comment is not None
     assert (moduli.lipschitz, moduli.expansiveness, moduli.ism_alpha) == pytest.approx(
         tuple(float(value) for value in comment.groups()), abs=1e-12)
+
+
+def checks_table_names() -> list[str]:
+    """The property names (the text before "(") of the table under "## Notes on
+    the checks"."""
+    section = README.read_text().split("## Notes on the checks\n", 1)[1].split("\n## ", 1)[0]
+    return [row.split("`")[1].split("(")[0]
+            for row in section.splitlines() if row.startswith("| `")]
+
+
+def test_checks_table_names_the_exported_pairwise_checkers():
+    # every exported checker that takes an operator, called with constants of
+    # 0.5 on the identity, reports a property the table lists, and only those
+    op = vikit.AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])
+    reported = []
+    for name in dir(vikit):
+        checker = getattr(vikit, name)
+        if not (name.startswith(("check_", "lemma_")) and callable(checker)):
+            continue
+        params = list(inspect.signature(checker).parameters)
+        if params[0] != "op":
+            continue
+        report = checker(op, *[0.5] * (len(params) - 1))
+        report = report[0] if isinstance(report, tuple) else report
+        reported.append(report.property.split("(")[0])
+    table = checks_table_names()
+    assert len(table) == len(set(table))
+    assert sorted(table) == sorted(reported)

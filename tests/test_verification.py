@@ -22,7 +22,6 @@ from vikit.verification import (
     BruteForceGrid,
     _extreme_nodes,
     brute_force_vi,
-    check_monotone_chain,
     check_singleton_vi,
     lemma_cocoercive_expansive,
 )
@@ -36,7 +35,6 @@ from oracles import (
     reference_check_forms,
     sampled_check_expansive,
     sampled_check_ism,
-    sampled_check_monotone_chain,
     sampled_check_relaxed_cocoercive,
     sampled_lemma_cocoercive_expansive,
 )
@@ -340,49 +338,6 @@ class TestLemmaCocoerciveExpansive:
             lemma_cocoercive_expansive(IDENTITY_OP, 0.0, 1.0, eps)
 
 
-class TestMonotoneChain:
-    def test_identity(self):
-        op = AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])
-        assert check_monotone_chain(op, 0.0, 1.0, 1.0).status == "Pass"
-        pairs = sample_pairs(2, count=1000, seed=4)
-        assert sampled_check_monotone_chain(op, 0.0, 1.0, 1.0, pairs).status == "Pass"
-
-    def test_scaled_rotation_with_exact_modulus(self):
-        op = AffineOperator(matrix=[[1.0, -1.0], [1.0, 1.0]], offset=[0.0, 0.0])
-        report = check_monotone_chain(op, 0.0, 1.0, np.sqrt(2.0))
-        assert report.status == "Pass"
-        pairs = sample_pairs(2, count=1000, seed=5)
-        assert sampled_check_monotone_chain(op, 0.0, 1.0, np.sqrt(2.0), pairs).status == "Pass"
-
-    def test_indefinite_operator_fails(self):
-        op = AffineOperator(matrix=[[1.0, 0.0], [0.0, -1.0]], offset=[0.0, 0.0])
-        report = check_monotone_chain(op, 0.0, 0.1, 1.0)
-        assert report.status == "Fail"
-        wx, wy = report.witness
-        np.testing.assert_allclose(np.abs(wx), [0.0, 1.0], atol=1e-12)
-        np.testing.assert_array_equal(wy, [0.0, 0.0])
-        sampled = sampled_check_monotone_chain(op, 0.0, 0.1, 1.0, [([0.0, 1.0], [0.0, 0.0])])
-        assert sampled.status == "Fail"
-        wx, wy = sampled.witness
-        np.testing.assert_array_equal(wx, [0.0, 1.0])
-        np.testing.assert_array_equal(wy, [0.0, 0.0])
-
-    @pytest.mark.parametrize("m", NON_FINITE)
-    def test_non_finite_m_rejected(self, m):
-        with pytest.raises(ValidationError, match="m must be finite"):
-            check_monotone_chain(IDENTITY_OP, m, 1.0, 1.0)
-
-    @pytest.mark.parametrize("v", NON_FINITE)
-    def test_non_finite_v_rejected(self, v):
-        with pytest.raises(ValidationError, match="v and eps must be finite"):
-            check_monotone_chain(IDENTITY_OP, 0.0, v, 1.0)
-
-    @pytest.mark.parametrize("eps", NON_FINITE)
-    def test_non_finite_eps_rejected(self, eps):
-        with pytest.raises(ValidationError, match="v and eps must be finite"):
-            check_monotone_chain(IDENTITY_OP, 0.0, 1.0, eps)
-
-
 class TestLemmasEndToEnd:
     def test_cocoercive_expansive_and_singleton_on_goldens(self, golden_oracle):
         # positive derived modulus implies both lemma conclusions hold:
@@ -487,7 +442,6 @@ def cross_check_cases(op: AffineOperator):
             v_u = float(np.linalg.eigvalsh(op._sym + u * op._gram)[0])
             constants = (u, (v_u if v_u > 0.0 else 0.1) * f)
             yield check_relaxed_cocoercive, sampled_check_relaxed_cocoercive, constants
-            yield check_monotone_chain, sampled_check_monotone_chain, constants + (sigma_max,)
 
 
 def verdict(checker, op, constants, *pairs, **kwargs):
@@ -652,7 +606,7 @@ class TestSharedSpectraEngine:
         op = AffineOperator(matrix=1e155 * np.eye(2), offset=[0.0, 0.0])
         cases = [(check_expansive, (1.0,)), (check_ism, (1e-155,)),
                  (check_relaxed_cocoercive, (1.0, 1.0)), (check_relaxed_cocoercive, (0.0, 1e155)),
-                 (check_monotone_chain, (0.0, 1e155, 1.0)), (check_expansive, (1e200,))]
+                 (check_expansive, (1e200,))]
         self.assert_same_reports(monkeypatch, op, cases)
 
     def test_cases_cover_every_checker_and_verdict(self):
@@ -662,13 +616,11 @@ class TestSharedSpectraEngine:
             for checker, constants in engine_cases(op):
                 report = verdict(checker, op, constants)
                 two_terms = checker is check_ism or (
-                    checker in (check_relaxed_cocoercive, check_monotone_chain)
-                    and constants[0] > 0.0)
+                    checker is check_relaxed_cocoercive and constants[0] > 0.0)
                 seen.add((checker.__name__, two_terms, report.status))
-        for name in ("check_relaxed_cocoercive", "check_monotone_chain"):
-            for two_terms in (False, True):
-                assert {(name, two_terms, "Pass"), (name, two_terms, "Fail")} <= seen
         for name, two_terms in (("check_ism", True), ("check_expansive", False),
+                                ("check_relaxed_cocoercive", False),
+                                ("check_relaxed_cocoercive", True),
                                 ("lemma_cocoercive_expansive", False)):
             assert {(name, two_terms, "Pass"), (name, two_terms, "Fail")} <= seen
 
