@@ -338,6 +338,32 @@ class TestLemmaCocoerciveExpansive:
             lemma_cocoercive_expansive(IDENTITY_OP, 0.0, 1.0, eps)
 
 
+class TestMonotoneChain:
+    # The chain <Ax - Ay, x - y> >= -m|Ax - Ay|^2 + v|x - y|^2 and
+    # <Ax - Ay, x - y> >= 0: its first link is check_relaxed_cocoercive with
+    # u = m, its second the form M_s through the same engine.
+    def test_identity(self):
+        op = AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])
+        assert check_relaxed_cocoercive(op, 0.0, 1.0).status == "Pass"
+        assert _check_forms(op, "monotone", [(1.0, 0.0, 0.0)]).status == "Pass"
+        pairs = sample_pairs(2, count=1000, seed=4)
+        assert sampled_check_relaxed_cocoercive(op, 0.0, 1.0, pairs).status == "Pass"
+
+    @pytest.mark.parametrize("m", NON_FINITE)
+    def test_non_finite_m_rejected(self, m):
+        with pytest.raises(ValidationError, match="u must be finite"):
+            check_relaxed_cocoercive(IDENTITY_OP, m, 1.0)
+        with pytest.raises(ValidationError, match="u must be finite"):
+            sampled_check_relaxed_cocoercive(IDENTITY_OP, m, 1.0, [([0.0, 1.0], [0.0, 0.0])])
+
+    @pytest.mark.parametrize("v", NON_FINITE)
+    def test_non_finite_v_rejected(self, v):
+        with pytest.raises(ValidationError, match="v must be finite"):
+            check_relaxed_cocoercive(IDENTITY_OP, 0.0, v)
+        with pytest.raises(ValidationError, match="v must be finite"):
+            sampled_check_relaxed_cocoercive(IDENTITY_OP, 0.0, v, [([0.0, 1.0], [0.0, 0.0])])
+
+
 class TestLemmasEndToEnd:
     def test_cocoercive_expansive_and_singleton_on_goldens(self, golden_oracle):
         # positive derived modulus implies both lemma conclusions hold:
