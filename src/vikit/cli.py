@@ -39,6 +39,7 @@ from .solvers import (
     ProjectionOnto,
     _check_delta,
     _check_inputs,
+    _check_step,
     compare_stopping,
     solve_halpern,
     solve_projected_gradient,
@@ -121,6 +122,8 @@ class Scenario:
             _check_lemma22_constants(*self.moduli)
         _check_inputs(self.operator, self.set_, self.map_s,
                       x0=self.x0, x_star=self.x_star, anchor=self.anchor)
+        if any(task in SOLVER_TASKS for task in self.tasks):
+            _check_step(self.operator, self.config)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
@@ -305,10 +308,8 @@ def write_trace_csv(path: Path, trace: IterationTrace, x_star=None) -> None:
     _atomic_write(path, "\n".join([*_csv_lines(trace, x_star), ""]))
 
 
-def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[VerificationReport]]:
+def _run_tasks(scenario: Scenario, out_dir: Path, records: dict, reports: list) -> None:
     op, seed, set_, cfg = scenario.operator, scenario.seed, scenario.set_, scenario.config
-    records: dict = {}
-    reports: list[VerificationReport] = []
 
     @functools.cache
     def oracle() -> np.ndarray:
@@ -385,13 +386,11 @@ def _run_tasks(scenario: Scenario, out_dir: Path) -> tuple[dict, list[Verificati
             solutions = oracle()
             records[task] = {"solutions": solutions.tolist(), "count": int(solutions.shape[0])}
 
-    return records, reports
-
 
 def run_scenario(
     path, out_dir, seed: int | None = None, max_iters: int | None = None
 ) -> int:
-    """Execute one scenario file; write traces and <name>.reports.json into out_dir."""
+    """Execute one scenario file; write into out_dir traces and a reports.json naming them."""
     path = Path(path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -412,7 +411,7 @@ def run_scenario(
             scenario = replace(scenario, seed=seed)
         if max_iters is not None:
             scenario = replace(scenario, config=replace(scenario.config, max_iters=max_iters))
-        records, reports = _run_tasks(scenario, out_dir)
+        _run_tasks(scenario, out_dir, records, reports)
     except DivergenceError as exc:
         error = str(exc)
         status = EXIT_DIVERGENCE

@@ -74,17 +74,16 @@ class AffineOperator:
         lipschitz = sigma_max(M), expansiveness = sigma_min(M),
         strong_monotonicity = lambda_min((M + M^T)/2).  Caching is sound
         because the matrix is read-only.  Raises ValidationError when
-        v > 0 and the sigma_max(M)^2 in alpha overflows a float.
+        v > 0 and the sigma_max(M)^2 in alpha overflows or underflows a float.
         """
         eps = float(self._singular[-1])
         gamma = float(self._singular[0])
         v = float(self._sym_spectrum[0])
         try:
             alpha = v / eps**2 if v > 0.0 else None
-        except OverflowError:
-            raise ValidationError(
-                f"sigma_max(M) = {eps:g} is out of range: alpha = v / sigma_max^2 overflows"
-            ) from None
+        except (OverflowError, ZeroDivisionError):
+            raise ValidationError(f"sigma_max(M) = {eps:g} is out of range: sigma_max^2 in "
+                                  "alpha = v / sigma_max^2 is 0 or inf") from None
         return OperatorModuli(
             lipschitz=eps,
             strong_monotonicity=v,

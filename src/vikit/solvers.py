@@ -18,6 +18,7 @@ a scenario that lists ``compare_stopping`` takes ``solve_pg``'s trace from it.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from numbers import Real
 
@@ -34,6 +35,7 @@ MAX_ITERS = "MaxIters"
 DEFAULT_RESIDUAL_TOL = 1e-8
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_COMPARISON_DELTA = 1e-6
+COMPARISON_TOL_FACTOR = 1e-3  # compare_stopping's residual_tol is at most delta times this
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class AnchorSchedule:
             raise ConfigurationError(f"unknown anchor schedule rule '{self.rule}'")
         if not 0.0 < self.scale <= 1.0:
             raise ConfigurationError("anchor schedule scale must be in (0, 1]")
-        if self.rule == "power" and self.exponent <= 0.0:
+        if self.rule == "power" and not (math.isfinite(self.exponent) and self.exponent > 0.0):
             raise ConfigurationError("anchor schedule exponent must be positive")
         if self.rule == "geometric" and not 0.0 < self.ratio < 1.0:
             raise ConfigurationError("anchor schedule ratio must be in (0, 1)")
@@ -63,7 +65,9 @@ class AnchorSchedule:
         if self.rule == "harmonic":
             return 1.0 / (n + 1)
         if self.rule == "power":
-            return self.scale / (n + 1) ** self.exponent
+            with suppress(OverflowError):  # else (n + 1)^exponent is past the float range
+                return self.scale / (n + 1) ** self.exponent
+            return 0.0
         return self.scale * self.ratio**n
 
 
@@ -313,8 +317,9 @@ def solve_halpern(
 
 
 def _check_delta(delta: float) -> None:
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise ConfigurationError("comparison target delta must be positive")
+    if not (np.isfinite(delta) and delta * COMPARISON_TOL_FACTOR > 0.0):
+        raise ConfigurationError("comparison target delta must be finite and positive, and "
+                                 f"delta * {COMPARISON_TOL_FACTOR:g} nonzero; got {delta:g}")
 
 
 @dataclass(frozen=True)
@@ -345,7 +350,7 @@ def compare_stopping(
         )
     # Run past both thresholds: the natural-residual stop must not cut the
     # trace before the shortcut criterion has a chance to fire.
-    inner = replace(cfg, residual_tol=min(cfg.residual_tol, delta * 1e-3))
+    inner = replace(cfg, residual_tol=min(cfg.residual_tol, delta * COMPARISON_TOL_FACTOR))
     trace = solve_projected_gradient(op, set_, inner, x0, x_ref=x_star)
     return ComparisonRecord(
         delta=delta,

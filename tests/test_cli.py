@@ -59,6 +59,13 @@ def read_reports(out_dir, name):
     return json.loads((out_dir / f"{name}.reports.json").read_text())
 
 
+def assert_outputs_named(out_dir, name):
+    """The trace CSVs on disk are exactly the ones <name>.reports.json names."""
+    tasks = read_reports(out_dir, name)["tasks"]
+    named = sorted(record["trace_csv"] for record in tasks.values() if "trace_csv" in record)
+    assert sorted(p.name for p in out_dir.glob("*.trace.csv")) == named
+
+
 def parse(**changes):
     doc = json.loads(json.dumps(BASE_SCENARIO))
     doc.update(changes)
@@ -179,6 +186,7 @@ class TestRunScenario:
             assert cli.run_scenario(doc_path, tmp_path) == 4
         assert [str(w.message) for w in record] == ["overflow encountered in matmul"] * 2
         assert read_reports(tmp_path, "overflow")["error"] == "non-finite iterate at iteration 1"
+        assert_outputs_named(tmp_path, "overflow")
 
     def test_file_is_decoded_as_utf8(self, tmp_path):
         doc = dict(BASE_SCENARIO, name="caf\u00e9", description="\u03bb = 0.4")
@@ -195,6 +203,22 @@ class TestRunScenario:
         payload = read_reports(tmp_path, "badstep")
         assert payload["error"] is not None
         assert payload["exit_status"] == 3
+        assert_outputs_named(tmp_path, "badstep")
+
+    def test_step_is_checked_before_any_task_runs(self, tmp_path, monkeypatch):
+        # the step rule is a scenario rule: no task runs, so none is reported
+        def oracle(*args, **kwargs):
+            raise AssertionError("brute_force_vi called")
+
+        monkeypatch.setattr(cli, "brute_force_vi", oracle)
+        doc_path = write_scenario(tmp_path, name="badstep",
+                                  config=dict(BASE_SCENARIO["config"], **{"lambda": 0.75}),
+                                  tasks=["brute_force", "verify_lemma22", "solve_pg"])
+        assert cli.run_scenario(doc_path, tmp_path) == 3
+        payload = read_reports(tmp_path, "badstep")
+        assert payload["error"] == "step 0.75 outside (0, 0.5) for certified alpha 0.25"
+        assert (payload["tasks"], payload["reports"]) == ({}, [])
+        assert_outputs_named(tmp_path, "badstep")
 
     def test_lemma_boundary_exits_3_with_report(self, tmp_path):
         doc_path = write_scenario(
@@ -233,6 +257,7 @@ class TestRunScenario:
         assert cli.run_scenario(doc_path, tmp_path) == 4
         payload = read_reports(tmp_path, "diverges")
         assert "iteration 3" in payload["error"]
+        assert_outputs_named(tmp_path, "diverges")
 
     def test_compare_stopping_requires_x_star(self, tmp_path):
         doc_path = write_scenario(tmp_path, name="nostar", x_star=None,
@@ -465,6 +490,71 @@ class TestRunScenario:
         assert payload["exit_status"] == 3
         assert "quadratic form overflows" in payload["error"]
         assert "cocoercive_expansive" in payload["error"]
+        assert_outputs_named(out_dir, "overflow")
+
+    def test_late_failure_reports_the_tasks_before_it(self, tmp_path):
+        # solve_pg completes and writes its trace; verify_lemma22's form then
+        # overflows, and the report still names solve_pg's record and trace
+        doc_path = write_scenario(tmp_path, name="late", tasks=["solve_pg", "verify_lemma22"],
+                                  moduli={"m": 0.0, "v": 1e200, "eps": 1e200})
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 3
+        payload = read_reports(out_dir, "late")
+        assert "quadratic form overflows" in payload["error"]
+        assert list(payload["tasks"]) == ["solve_pg"]
+        assert payload["tasks"]["solve_pg"]["status"] == "Converged"
+        assert payload["reports"] == []
+        assert_outputs_named(out_dir, "late")
+
+    @pytest.mark.parametrize("task", ["solve_pg", "verify_lemma22"])
+    def test_underflowing_sigma_max_squared_exits_3(self, tmp_path, task):
+        # sigma_max^2 = 1e-340 is 0 in a float: alpha = v / sigma_max^2 divided by 0
+        doc_path = write_scenario(
+            tmp_path, name="tiny", operator={"matrix": [[1e-170]], "offset": [0.0]},
+            set={"type": "box", "lower": [0.0], "upper": [1.0]}, x0=[0.0], x_star=None,
+            grid=None, tasks=[task])
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 3
+        payload = read_reports(out_dir, "tiny")
+        assert payload["error"].startswith("sigma_max(M) = 1e-170 is out of range")
+        assert payload["tasks"] == {}
+        assert [p.name for p in out_dir.iterdir()] == ["tiny.reports.json"]
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf])
+    def test_non_finite_power_exponent_exits_3_before_any_task(self, tmp_path, exponent):
+        schedule = {"rule": "power", "exponent": exponent}
+        doc_path = write_scenario(tmp_path, name="nanexp", tasks=SOLVE_BOTH,
+                                  config=dict(BASE_SCENARIO["config"], anchor_schedule=schedule))
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 3
+        payload = read_reports(out_dir, "nanexp")
+        assert payload["error"] == "anchor schedule exponent must be positive"
+        assert payload["tasks"] == {}
+        assert [p.name for p in out_dir.iterdir()] == ["nanexp.reports.json"]
+
+    def test_power_weight_past_the_float_range_runs_to_max_iters(self, tmp_path):
+        # (n + 1)^100 passes the float range at n = 1209; the run reaches max_iters
+        schedule = {"rule": "power", "exponent": 100}
+        doc_path = write_scenario(
+            tmp_path, name="steep", tasks=["solve_halpern"],
+            map_s={"type": "affine_average", "t": 0.5, "fixed_point": [0.5, 0.5]},
+            config=dict(BASE_SCENARIO["config"], anchor_schedule=schedule, max_iters=1500))
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 0
+        record = read_reports(out_dir, "steep")["tasks"]["solve_halpern"]
+        assert (record["status"], record["iterations"]) == ("MaxIters", 1500)
+        assert_outputs_named(out_dir, "steep")
+
+    def test_delta_whose_inner_tolerance_underflows_exits_3(self, tmp_path):
+        # 1e-3 * delta is 0, so compare_stopping would run to residual_tol 0
+        doc_path = write_scenario(tmp_path, name="tinydelta", tasks=PG_FIRST, delta=1e-322)
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 3
+        payload = read_reports(out_dir, "tinydelta")
+        assert payload["error"].startswith("comparison target delta must be finite and positive")
+        assert "delta * 0.001 nonzero" in payload["error"]
+        assert payload["tasks"] == {}
+        assert [p.name for p in out_dir.iterdir()] == ["tinydelta.reports.json"]
 
     @pytest.mark.parametrize("seed", [None, 5])
     def test_goldens_pass_every_verify_report_exactly(self, tmp_path, seed):
@@ -887,7 +977,7 @@ class TestSharedTrajectory:
         return prefixes
 
     @staticmethod
-    def check_solve_pg(out_dir, sc, monkeypatch, record=True):
+    def check_solve_pg(out_dir, sc, monkeypatch):
         """solve_pg's CSV and record against a standalone solve, which must
         equal the reference loop's bit for bit."""
         trace = standalone_pg(sc)
@@ -896,8 +986,6 @@ class TestSharedTrajectory:
             assert_same_trace(trace, standalone_pg(sc))
         csv = (out_dir / f"{sc.name}.solve_pg.trace.csv").read_bytes()
         assert csv == literal_trace_csv(trace, x_star=sc.x_star).encode()
-        if not record:
-            return
         assert read_reports(out_dir, sc.name)["tasks"]["solve_pg"] == {
             "status": trace.status,
             "iterations": trace.rows - 1,
@@ -980,8 +1068,8 @@ class TestSharedTrajectory:
     def test_failed_comparison_leaves_solve_pg_its_own_solve(self, tmp_path, monkeypatch,
                                                              error, code, tasks):
         # solve_pg listed first still completes and writes its trace, as it
-        # did when it never shared compare_stopping's run; a failed scenario
-        # reports no task records
+        # did when it never shared compare_stopping's run, and the report of
+        # the failed scenario names it; listed last it never runs
         def fail(*args, **kwargs):
             raise error
 
@@ -993,10 +1081,11 @@ class TestSharedTrajectory:
         written = sorted(p.name for p in out_dir.iterdir())
         if tasks == PG_FIRST:
             assert written == ["cut.reports.json", "cut.solve_pg.trace.csv"]
-            self.check_solve_pg(out_dir, parse(name="cut", tasks=tasks), monkeypatch,
-                                record=False)
+            self.check_solve_pg(out_dir, parse(name="cut", tasks=tasks), monkeypatch)
         else:
             assert written == ["cut.reports.json"]
+            assert read_reports(out_dir, "cut")["tasks"] == {}
+        assert_outputs_named(out_dir, "cut")
 
 
 def test_full_scenario_takes_two_eigen_solves_and_one_svd(tmp_path, linalg_calls):

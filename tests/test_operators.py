@@ -134,6 +134,12 @@ class TestCertifyModuli:
         certify_moduli(op)
         assert linalg_calls == {"eigvalsh": 1, "eigh": 0, "svd": 1}
 
+    def test_underflowing_sigma_max_squared_raises(self):
+        # sigma_max^2 = 1e-340 is 0 in a float, so alpha = v / sigma_max^2 cannot be formed
+        op = AffineOperator(matrix=[[1e-170]], offset=[0.0])
+        with pytest.raises(ValidationError, match=r"^sigma_max\(M\) = 1e-170 is out of range"):
+            certify_moduli(op)
+
     def test_alpha_absent_without_strong_monotonicity(self):
         indefinite = AffineOperator(matrix=[[1.0, 0.0], [0.0, -1.0]], offset=[0.0, 0.0])
         assert certify_moduli(indefinite).ism_alpha is None

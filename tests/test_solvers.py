@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -72,6 +73,19 @@ class TestAnchorSchedule:
     def test_power_exponent_zero_rejected(self):
         with pytest.raises(ConfigurationError, match="^anchor schedule exponent must be positive$"):
             AnchorSchedule(rule="power", exponent=0.0)
+
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf")])
+    def test_power_exponent_must_be_finite(self, exponent):
+        with pytest.raises(ConfigurationError, match="^anchor schedule exponent must be positive$"):
+            AnchorSchedule(rule="power", exponent=exponent)
+
+    @pytest.mark.parametrize("exponent", [100, 100.0])
+    def test_power_weight_past_the_float_range_is_zero(self, exponent):
+        # (n + 1)^100 first passes the float range at n + 1 = 1210
+        sched = AnchorSchedule(rule="power", scale=0.5, exponent=exponent)
+        assert sched.weight(1208) == 0.5 / 1209**exponent > 0.0
+        assert sched.weight(1209) == 0.0
+        assert sched.weight(10**6) == 0.0
 
 
 class TestIterationConfig:
@@ -329,6 +343,19 @@ class TestCompareStopping:
         with pytest.raises(ConfigurationError):
             compare_stopping(op, UNIT_BOX, IterationConfig(step=1.0), [0.0, 0.0],
                              [0.5, 0.5], delta=0.0)
+
+    @pytest.mark.parametrize("delta,accepted", [(2.5e-321, True), (2.4e-321, False),
+                                                (1e-322, False), (math.inf, False)])
+    def test_delta_needs_a_nonzero_inner_tolerance(self, delta, accepted):
+        # compare_stopping runs to residual_tol delta * 1e-3, which must not be 0
+        op = shifted_identity([0.5, 0.5])
+        if accepted:
+            compare_stopping(op, UNIT_BOX, IterationConfig(step=1.0), [0.0, 0.0], [0.5, 0.5],
+                             delta=delta)
+        else:
+            with pytest.raises(ConfigurationError, match="^comparison target delta must be"):
+                compare_stopping(op, UNIT_BOX, IterationConfig(step=1.0), [0.0, 0.0],
+                                 [0.5, 0.5], delta=delta)
 
 
 def test_divergence_error_carries_iteration_index():
