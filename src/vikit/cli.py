@@ -361,7 +361,8 @@ def _run_tasks(scenario: Scenario, out_dir: Path, records: dict, reports: list) 
                 m, v, eps = scenario.moduli
             report, gamma = lemma_cocoercive_expansive(op, m, v, eps)
             reports.append(report)
-            records[task] = {"gamma": gamma, "report": report.as_dict()}
+            records[task] = {"gamma": gamma if np.isfinite(gamma) else None,
+                             "report": report.as_dict()}
 
         elif task == "verify_lemma31":
             certified = certify_moduli(op)

@@ -40,7 +40,7 @@ class VerificationReport:
             "status": self.status,
             "witness": witness,
             "samples_used": int(self.samples_used),
-            "max_violation": float(self.max_violation),
+            "max_violation": float(self.max_violation) if np.isfinite(self.max_violation) else None,
             "seed": self.seed,
             "note": self.note,
         }

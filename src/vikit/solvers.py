@@ -66,7 +66,7 @@ class AnchorSchedule:
             return 1.0 / (n + 1)
         if self.rule == "power":
             with suppress(OverflowError):  # else (n + 1)^exponent is past the float range
-                return self.scale / (n + 1) ** self.exponent
+                return self.scale / (n + 1.0) ** self.exponent
             return 0.0
         return self.scale * self.ratio**n
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -55,8 +56,13 @@ def write_scenario(tmp_path, **changes):
     return path
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not a JSON value (RFC 8259)")
+
+
 def read_reports(out_dir, name):
-    return json.loads((out_dir / f"{name}.reports.json").read_text())
+    """The decoded reports.json, which must be strict JSON: no NaN or Infinity."""
+    return json.loads((out_dir / f"{name}.reports.json").read_text(), parse_constant=_not_json)
 
 
 def assert_outputs_named(out_dir, name):
@@ -83,6 +89,13 @@ LONG_STEMS = [
 LONG_STEM_IDS = ["220-bytes", "250-bytes", "250-bytes-utf8", "241-bytes-utf8-odd"]
 
 SOLVE_BOTH = ["solve_pg", "solve_halpern"]
+# The solution (0.5005, 0.5005) is off the h = 0.01 grid, and at vi_tolerance
+# 1e-12 no node qualifies: the singleton check sees an infinite diameter.
+EMPTY_GRID_SET = {
+    "operator": {"matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [-0.5005, -0.5005]},
+    "grid": {"h": 0.01, "vi_tolerance": 1e-12},
+    "tasks": ["verify_lemma31"],
+}
 CUBE5 = {
     "operator": {"matrix": np.eye(5).tolist(), "offset": [0.0] * 5},
     "set": {"type": "box", "lower": [0.0] * 5, "upper": [1.0] * 5},
@@ -465,7 +478,24 @@ class TestRunScenario:
         assert cli.run_scenario(doc_path, tmp_path) == 3
         payload = read_reports(tmp_path, "hugeeps")
         assert payload["reports"][0]["status"] == "PreconditionViolated"
-        assert payload["tasks"]["verify_lemma22"]["gamma"] == -np.inf
+        assert payload["tasks"]["verify_lemma22"]["gamma"] is None
+
+    def test_empty_solution_set_writes_null_max_violation(self, tmp_path):
+        doc_path = write_scenario(tmp_path, name="nosol", **EMPTY_GRID_SET)
+        assert cli.run_scenario(doc_path, tmp_path) == 1
+        (singleton,) = [r for r in read_reports(tmp_path, "nosol")["reports"]
+                        if r["property"].startswith("singleton_vi")]
+        assert singleton["status"] == "Fail" and singleton["max_violation"] is None
+        assert singleton["note"] == "VI(C,A) empty at this resolution"
+
+    @pytest.mark.parametrize("changes", [
+        EMPTY_GRID_SET,
+        {"moduli": {"m": 1.0, "v": 1.0, "eps": 1e200}, "tasks": ["verify_lemma22"]},
+    ], ids=["empty-set", "huge-eps"])
+    def test_reports_with_infinite_values_decode_with_orjson(self, tmp_path, changes):
+        doc_path = write_scenario(tmp_path, name="strict", **changes)
+        assert cli.run_scenario(doc_path, tmp_path) in (1, 3)
+        assert orjson.loads((tmp_path / "strict.reports.json").read_bytes())["reports"]
 
     @pytest.mark.parametrize("task", ["verify_lemma31", "verify_lemma22"])
     def test_huge_scale_operator_passes(self, tmp_path, task):
@@ -544,6 +574,18 @@ class TestRunScenario:
         record = read_reports(out_dir, "steep")["tasks"]["solve_halpern"]
         assert (record["status"], record["iterations"]) == ("MaxIters", 1500)
         assert_outputs_named(out_dir, "steep")
+
+    def test_integer_exponent_of_301_digits_completes(self, tmp_path):
+        # raised as a float, (n + 1)^(10^300) overflows at once to weight 0
+        schedule = {"rule": "power", "exponent": 10**300}
+        doc_path = write_scenario(
+            tmp_path, name="hugeexp", tasks=["solve_halpern"],
+            map_s={"type": "affine_average", "t": 0.5, "fixed_point": [0.5, 0.5]},
+            config=dict(BASE_SCENARIO["config"], anchor_schedule=schedule, max_iters=200))
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 0
+        assert read_reports(out_dir, "hugeexp")["tasks"]["solve_halpern"]["iterations"] <= 200
+        assert_outputs_named(out_dir, "hugeexp")
 
     def test_delta_whose_inner_tolerance_underflows_exits_3(self, tmp_path):
         # 1e-3 * delta is 0, so compare_stopping would run to residual_tol 0

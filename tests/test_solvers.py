@@ -87,6 +87,11 @@ class TestAnchorSchedule:
         assert sched.weight(1209) == 0.0
         assert sched.weight(10**6) == 0.0
 
+    @pytest.mark.parametrize("exponent", [10**6, 10**300], ids=["1e6", "1e300"])
+    def test_integer_exponent_is_raised_as_a_float(self, exponent):
+        # an exact integer power would have millions of digits, or never end
+        assert AnchorSchedule(rule="power", exponent=exponent).weight(1000) == 0.0
+
 
 class TestIterationConfig:
     def test_defaults(self):

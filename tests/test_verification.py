@@ -271,6 +271,76 @@ class TestSingletonCheck:
     def test_simplex_instance_passes(self, golden_oracle):
         assert golden_oracle["simplex_rotation"]["singleton"].status == "Pass"
 
+    @pytest.mark.parametrize("set_, h", [
+        (UNIT_BOX, 0.05),
+        (Box(lower=[0.0] * 3, upper=[1.0] * 3), 0.1),
+        (Simplex(3), 0.05),
+    ], ids=["box2", "box3", "simplex3"])
+    def test_flat_operator_fails_on_a_pair_past_the_threshold(self, set_, h):
+        # 1e-12 I makes every node a solution: the set spans C, no singleton
+        flat = AffineOperator(matrix=1e-12 * np.eye(set_.dim), offset=np.zeros(set_.dim))
+        grid = BruteForceGrid(set_=set_, h=h)
+        sols = brute_force_vi(flat, grid)
+        assert sols.shape[0] == grid.count()
+        report = check_singleton_vi(sols, grid)
+        threshold = 2.0 * h * math.sqrt(set_.dim)
+        gap = float(np.linalg.norm(report.witness[0] - report.witness[1]))
+        assert report.status == "Fail" and gap > threshold
+        assert report.max_violation == gap - threshold
+
+
+def random_grid_cases(seed: int, count: int):
+    """Seeded (operator, grid) pairs on boxes and simplices with n = 1-3, the
+    operator scaled by 1 down to 1e-12, so that its solution set ranges from
+    one node to every node of the grid."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        op = random_monotone_operator(rng, n)
+        scale = 10.0 ** -float(rng.choice([0, 3, 6, 9, 12]))
+        op = AffineOperator(matrix=scale * op.matrix, offset=scale * op.offset)
+        if rng.random() < 0.5:
+            lower = rng.uniform(-1.0, 0.5, size=n)
+            set_ = Box(lower=lower, upper=lower + rng.uniform(0.2, 1.5, size=n))
+            h = float(rng.uniform(0.02, 0.2)) * (2.0 if n == 3 else 1.0)
+        else:
+            set_, h = Simplex(n), 1.0 / int(rng.integers(3, 40 if n < 3 else 25))
+        yield op, BruteForceGrid(set_=set_, h=h)
+
+
+class TestSingletonCandidates:
+    """The verdict is decided on at most max(64, 2n) rows of the solution set."""
+
+    def test_diameter_never_takes_more_than_64_rows(self, monkeypatch):
+        sizes, diameter_of = [], verification._diameter
+
+        def counted(points):
+            sizes.append(points.shape[0])
+            return diameter_of(points)
+
+        monkeypatch.setattr(verification, "_diameter", counted)
+        for op, grid in random_grid_cases(seed=18, count=120):
+            check_singleton_vi(brute_force_vi(op, grid), grid)
+        assert sizes and max(sizes) <= 64
+
+    def test_verdict_matches_the_exact_diameter(self):
+        verdicts = set()
+        for op, grid in random_grid_cases(seed=81, count=120):
+            sols = brute_force_vi(op, grid)
+            if sols.shape[0] == 0:
+                continue
+            report = check_singleton_vi(sols, grid)
+            threshold = 2.0 * grid.h * math.sqrt(grid.set_.dim)
+            exact = diameter(sols)
+            # a set whose diameter is the threshold itself (a 3-node span per
+            # axis) is decided by the last bit of two different float sums
+            if abs(exact - threshold) > 1e-9 * threshold:
+                assert report.status == ("Pass" if exact <= threshold else "Fail")
+            if report.status == "Fail":
+                assert 0.0 < report.max_violation <= exact - threshold + 1e-12
+            verdicts.add(report.status)
+        assert verdicts == {"Pass", "Fail"}
+
 
 class TestLemmaCocoerciveExpansive:
     def test_derived_modulus(self):
