@@ -354,11 +354,8 @@ def _run_tasks(scenario: Scenario, out_dir: Path, records: dict, reports: list) 
             records[task] = {**fields, "trace_csv": csv_name}
 
         elif task == "verify_lemma22":
-            if scenario.moduli is None:
-                certified = certify_moduli(op)
-                m, v, eps = 0.0, certified.strong_monotonicity, certified.lipschitz
-            else:
-                m, v, eps = scenario.moduli
+            certified = None if scenario.moduli else certify_moduli(op)
+            m, v, eps = scenario.moduli or (0.0, certified.strong_monotonicity, certified.lipschitz)
             report, gamma = lemma_cocoercive_expansive(op, m, v, eps)
             reports.append(report)
             records[task] = {"gamma": gamma if np.isfinite(gamma) else None,
@@ -394,7 +391,11 @@ def run_scenario(
     """Execute one scenario file; write into out_dir traces and a reports.json naming them."""
     path = Path(path)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_BAD_JSON
     doc, reason = _read_json(path)
     if reason is not None:
         print(reason, file=sys.stderr)

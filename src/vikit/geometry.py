@@ -43,14 +43,20 @@ def _point(x, dim: int, what: str = "vector", finite_what: str | None = None) ->
     return x
 
 
+def _read_only(a) -> np.ndarray:
+    """``a`` as a read-only float array, how every frozen field or cache holds one."""
+    a = np.asarray(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 def _finite_vector(obj, name: str, what: str) -> np.ndarray:
     """Store field ``name`` of the frozen ``obj`` as a read-only float vector,
     or raise ValidationError "<what> must be a finite vector"."""
     v = np.array(getattr(obj, name), dtype=float)
     if v.ndim != 1 or not np.all(np.isfinite(v)):
         raise ValidationError(f"{what} must be a finite vector")
-    v.setflags(write=False)
-    object.__setattr__(obj, name, v)
+    object.__setattr__(obj, name, _read_only(v))
     return v
 
 
@@ -70,10 +76,8 @@ class Box(ConvexSet):
             raise ValidationError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValidationError("box requires lower <= upper componentwise")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "lower", _read_only(lo))
+        object.__setattr__(self, "upper", _read_only(hi))
 
     @property
     def dim(self) -> int:
@@ -188,8 +192,7 @@ class AffineSubspace(ConvexSet):
         k = basis.shape[0]
         if k > b.shape[0] or (k and np.max(np.abs(basis @ basis.T - np.eye(k))) > 1e-12):
             raise ValidationError("basis vectors must be pairwise orthonormal within 1e-12")
-        basis.setflags(write=False)
-        object.__setattr__(self, "orthonormal_basis", basis)
+        object.__setattr__(self, "orthonormal_basis", _read_only(basis))
 
     @property
     def dim(self) -> int:

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .geometry import _point
+from .geometry import _point, _read_only
 from .reports import FAIL, PASS, VerificationReport
 from .reports import pairwise_report  # noqa: F401  (perfbench/tracing.py wraps this name)
 
@@ -55,10 +55,8 @@ class AffineOperator:
             raise ValidationError("operator dimension must be positive")
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(q))):
             raise ValidationError("operator entries must be finite")
-        m.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "offset", q)
+        object.__setattr__(self, "matrix", _read_only(m))
+        object.__setattr__(self, "offset", _read_only(q))
 
     @property
     def dim(self) -> int:
@@ -111,22 +109,15 @@ class AffineOperator:
         """sigma(M), in ascending order, from one SVD on first use."""
         return _read_only(np.linalg.svd(self.matrix, compute_uv=False)[::-1])
 
-    @cached_property
-    def _sym_norm(self) -> float:
-        """|M_s|, the largest absolute row sum; inf or NaN when M_s overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.linalg.norm(self._sym, np.inf)
-
-    @cached_property
-    def _gram_norm(self) -> float:
-        """|M^T M|, the largest absolute row sum; inf or NaN when M^T M overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.linalg.norm(self._gram, np.inf)
+    # |M_s| and |M^T M|, each computed on first use; see ``_row_sum_norm``.
+    _sym_norm = cached_property(lambda self: _row_sum_norm(self._sym))
+    _gram_norm = cached_property(lambda self: _row_sum_norm(self._gram))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _row_sum_norm(t: np.ndarray) -> float:
+    """|T|, the largest absolute row sum; inf or NaN when T overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(t, np.inf)
 
 
 @dataclass(frozen=True)
@@ -196,11 +187,8 @@ def _check_forms(op: AffineOperator, name: str, forms) -> VerificationReport:
     deficits = []
     for a, b, c in forms:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-            scale = abs(c)
-            if a:
-                scale += abs(a) * op._sym_norm
-            if b:
-                scale += abs(b) * op._gram_norm
+            scale = (abs(c) + (abs(a) * op._sym_norm if a else 0.0)
+                     + (abs(b) * op._gram_norm if b else 0.0))
         if not np.isfinite(scale):
             raise ValidationError(f"{name}: the quadratic form overflows a float")
         if a and b:

@@ -18,6 +18,7 @@ a scenario that lists ``compare_stopping`` takes ``solve_pg``'s trace from it.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from numbers import Real
@@ -25,7 +26,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, DivergenceError, ValidationError
-from .geometry import ConvexSet, _finite_vector, _point
+from .geometry import ConvexSet, _finite_vector, _point, _read_only
 from .geometry import project  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .operators import AffineOperator, certify_moduli, evaluate
 
@@ -56,7 +57,7 @@ class AnchorSchedule:
             raise ConfigurationError(f"unknown anchor schedule rule '{self.rule}'")
         if not 0.0 < self.scale <= 1.0:
             raise ConfigurationError("anchor schedule scale must be in (0, 1]")
-        if self.rule == "power" and not (math.isfinite(self.exponent) and self.exponent > 0.0):
+        if self.rule == "power" and not 0.0 < self.exponent <= sys.float_info.max:  # exact for int
             raise ConfigurationError("anchor schedule exponent must be positive")
         if self.rule == "geometric" and not 0.0 < self.ratio < 1.0:
             raise ConfigurationError("anchor schedule ratio must be in (0, 1)")
@@ -118,11 +119,8 @@ class IterationTrace:
 
     def __post_init__(self):
         for name in ("iterates", "natural_residuals", "operator_residuals", "shortcut_bounds"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @property
     def rows(self) -> int:
@@ -193,6 +191,14 @@ def shortcut_distance_bound(gamma: float, operator_residual: float | np.ndarray)
     if np.any(operator_residual < 0.0):
         raise ValidationError("operator residual must be nonnegative")
     return operator_residual / gamma
+
+
+def natural_residual_factor(op: AffineOperator, step: float) -> float:
+    """C = (1 + lam L)/(lam mu), inf unless lam mu > 0: |x - x*| <= C r(x), r the natural
+    residual at step lam, for mu-strongly monotone, L-Lipschitz A (Facchinei & Pang 2003)."""
+    moduli = certify_moduli(op)
+    lam_mu = step * moduli.strong_monotonicity
+    return (1.0 + step * moduli.lipschitz) / lam_mu if lam_mu > 0.0 else math.inf
 
 
 def _check_step(op: AffineOperator, cfg: IterationConfig) -> float:
@@ -342,19 +348,22 @@ def compare_stopping(
 ) -> ComparisonRecord:
     """Run the projected-gradient scheme against a known solution and report the
     first iteration at which (a) the shortcut bound s_n / gamma and (b) the
-    natural residual r_n fall to delta."""
+    natural-residual bound C r_n (``natural_residual_factor``) fall to delta;
+    a C that is not finite certifies nothing, so (b) is then None."""
     _check_delta(delta)
     if certify_moduli(op).expansiveness <= 0.0:
-        raise ConfigurationError(
-            "non-expansive operator: sigma_min(M) = 0, the shortcut bound is unavailable"
-        )
+        raise ConfigurationError("non-expansive operator: sigma_min(M) = 0, "
+                                 "the shortcut bound is unavailable")
     # Run past both thresholds: the natural-residual stop must not cut the
     # trace before the shortcut criterion has a chance to fire.
     inner = replace(cfg, residual_tol=min(cfg.residual_tol, delta * COMPARISON_TOL_FACTOR))
     trace = solve_projected_gradient(op, set_, inner, x0, x_ref=x_star)
+    c = natural_residual_factor(op, cfg.step)
+    with np.errstate(over="ignore"):  # a C r_n past the float range certifies nothing
+        natural = _first_at_most(c * trace.natural_residuals, delta) if c < math.inf else None
     return ComparisonRecord(
         delta=delta,
         shortcut_iteration=_first_at_most(trace.shortcut_bounds, delta),
-        natural_iteration=_first_at_most(trace.natural_residuals, delta),
+        natural_iteration=natural,
         trace=trace,
     )

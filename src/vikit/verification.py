@@ -49,10 +49,9 @@ class BruteForceGrid:
             raise ValidationError("vi_tolerance must be positive")
         if self.set_.dim > GRID_DIM_GUARD:
             raise ValidationError(f"grid oracle limited to dimension <= {GRID_DIM_GUARD}")
-        if self.count() > GRID_POINT_GUARD:
-            raise ValidationError(
-                f"grid would hold {self.count()} points, over the {GRID_POINT_GUARD} guard"
-            )
+        if (count := self.count()) > GRID_POINT_GUARD:
+            raise ValidationError(f"grid would hold {count} points, over the "
+                                  f"{GRID_POINT_GUARD} guard")
 
     def _axis_steps(self) -> list[int]:
         box = self.set_
@@ -143,11 +142,11 @@ def check_singleton_vi(
 
 
 def _check_lemma22_constants(m: float, v: float, eps: float) -> None:
-    """Lemma 2.2's hypotheses on its constants: finite m >= 0, v > 0, eps > 0."""
+    """Lemma 2.2's hypotheses on its constants: finite m >= 0, finite v, finite eps >= 0."""
     if not (np.isfinite(m) and m >= 0.0):
         raise ValidationError("cocoercivity constant m must be finite and nonnegative")
-    if not (np.isfinite(v) and v > 0.0 and np.isfinite(eps) and eps > 0.0):
-        raise ValidationError("constants v and eps must be finite and positive")
+    if not (np.isfinite(v) and np.isfinite(eps) and eps >= 0.0):
+        raise ValidationError("constant v must be finite, and eps finite and nonnegative")
 
 
 def lemma_cocoercive_expansive(

@@ -43,7 +43,8 @@ def golden_box_scenarios():
 @pytest.fixture(scope="session")
 def golden_oracle():
     """Brute-force VI solutions and singleton reports for every golden
-    scenario, computed once per session (each grid pass is ~1s)."""
+    scenario, computed once per session (a grid pass takes ~3 ms on a box
+    golden, 2-vCPU VM)."""
     cache = {}
     for name in GOLDEN_NAMES:
         scenario = load_golden(name)

@@ -29,6 +29,7 @@ import numpy as np
 from vikit.errors import DimensionMismatchError, ValidationError
 from vikit.operators import EXACT_NOTE, RELATIVE_TOLERANCE, AffineOperator
 from vikit.reports import FAIL, PASS, PRECONDITION_VIOLATED, VerificationReport, pairwise_report
+from vikit.verification import _check_lemma22_constants
 
 
 def _lam_max(gram: np.ndarray, max_iters: int = 500_000, rtol: float = 1e-15) -> float:
@@ -414,10 +415,7 @@ def sampled_lemma_cocoercive_expansive(
     Cauchy-Schwarz).  Returns (report, gamma); when gamma <= 0 the hypothesis
     fails and the report status is PreconditionViolated.
     """
-    if not (np.isfinite(m) and m >= 0.0):
-        raise ValidationError("cocoercivity constant m must be finite and nonnegative")
-    if not (np.isfinite(v) and v > 0.0 and np.isfinite(eps) and eps > 0.0):
-        raise ValidationError("constants v and eps must be finite and positive")
+    _check_lemma22_constants(m, v, eps)  # the library's input rule; the check stays apart
     # Float products, not eps**2: a huge eps gives gamma = -inf, not OverflowError.
     gamma = v - m * eps * eps
     name = f"cocoercive_expansive(m={m:g},v={v:g},eps={eps:g})"

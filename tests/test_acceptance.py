@@ -3,7 +3,11 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
+import json
+import sys
 import time
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,13 @@ import pytest
 from vikit import cli
 from vikit.geometry import AffineSubspace, Ball, Box, Halfspace, Simplex, contains, project
 from vikit.operators import AffineOperator, certify_moduli, sample_pairs
-from vikit.solvers import Identity, solve_halpern, solve_projected_gradient
+from vikit.solvers import (
+    Identity,
+    compare_stopping,
+    natural_residual_factor,
+    solve_halpern,
+    solve_projected_gradient,
+)
 from vikit.verification import BruteForceGrid, brute_force_vi, lemma_cocoercive_expansive
 
 from oracles import (
@@ -101,6 +111,34 @@ def test_criterion_3_shortcut_bound_soundness(golden_scenarios):
         rows += trace.rows
     _report(3, "shortcut-bound-soundness", violations == 0,
             f"{violations} violations over {rows} iterations")
+
+
+def _perfbench_small_n(seed: int, directory: Path, monkeypatch) -> list:
+    """(scenario, x_star) for each file of perfbench's ``small_n`` workload at ``seed``,
+    its generator executed without writing bytecode beside it."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # its dataclass looks it up
+    exec(compile(source.read_text(), str(source), "exec"), module.__dict__)
+    entries = module.small_n(seed, directory, cli.golden_dir())
+    return [(cli.Scenario.from_dict(json.loads(Path(e.path).read_text())), e.x_star)
+            for e in entries]
+
+
+def test_natural_residual_bound_soundness(golden_scenarios, tmp_path, monkeypatch):
+    # |x_n - x*| <= C r_n with C = (1 + lam L)/(lam mu), zero violations on every
+    # compare_stopping row of the goldens and of a seed's small_n scenarios
+    cases = [(sc, sc.x_star) for sc in golden_scenarios]
+    cases += _perfbench_small_n(401, tmp_path, monkeypatch)
+    violations = rows = 0
+    for sc, x_star in cases:
+        trace = compare_stopping(sc.operator, sc.set_, sc.config, sc.x0, x_star, sc.delta).trace
+        bound = natural_residual_factor(sc.operator, sc.config.step) * trace.natural_residuals
+        violations += int(np.sum(trace.distances_to(x_star) > bound))
+        rows += trace.rows
+    _report(3, "natural-residual-bound-soundness",
+            violations == 0 and len(cases) > len(golden_scenarios),
+            f"{violations} violations over {rows} rows of {len(cases)} scenarios")
 
 
 def test_criterion_4_solver_oracle_agreement(golden_scenarios, golden_oracle):

@@ -179,6 +179,49 @@ class TestRunScenario:
         assert err.startswith("cannot read scenario:") and err.count("\n") == 1
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+    def test_output_directory_that_cannot_be_made_exits_2_with_one_line(
+            self, tmp_path, capsys, below):
+        doc_path = write_scenario(tmp_path, name="unit")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = blocker / "out" if below else blocker
+        assert cli.main(["run", str(doc_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot create output directory: ") and err.count("\n") == 1
+        assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize("matrix", [[[0.0, -1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                             ids=["skew", "zero"])
+    def test_certified_constants_of_a_non_strongly_monotone_operator_exit_3_with_reports(
+            self, tmp_path, matrix):
+        # mu = 0: the defaults (0, mu, L) give gamma = 0, and there is no ism modulus
+        doc_path = write_scenario(tmp_path, name="flat",
+                                  operator={"matrix": matrix, "offset": [0.0, 0.0]},
+                                  tasks=["verify_lemma22", "verify_lemma31"])
+        assert cli.run_scenario(doc_path, tmp_path) == 3
+        payload = read_reports(tmp_path, "flat")
+        assert payload["error"] is None
+        assert payload["tasks"]["verify_lemma22"]["gamma"] == 0.0
+        assert [r["status"] for r in payload["reports"]] == ["PreconditionViolated"] * 2
+
+    @pytest.mark.parametrize("moduli,gamma,status,code", [
+        ({"m": 0.0, "v": 0.0, "eps": 2.0}, 0.0, "PreconditionViolated", 3),
+        ({"m": 0.5, "v": -1.0, "eps": 2.0}, -3.0, "PreconditionViolated", 3),
+        ({"m": 1.0, "v": 1.0, "eps": 0.0}, 1.0, "Pass", 0),
+        ({"m": 1.0, "v": 1.5, "eps": 0.0}, 1.5, "Fail", 1),
+    ], ids=["v-zero", "v-negative", "eps-zero", "eps-zero-overstated"])
+    def test_supplied_moduli_past_the_hypothesis_follow_gamma(
+            self, tmp_path, moduli, gamma, status, code):
+        # diag(2, 1) is 1-expansive and 1-strongly monotone, but not 1.5-
+        assert parse(moduli=moduli, tasks=["verify_lemma22"]).moduli == tuple(moduli.values())
+        doc_path = write_scenario(tmp_path, name="loose", tasks=["verify_lemma22"], moduli=moduli)
+        assert cli.run_scenario(doc_path, tmp_path) == code
+        payload = read_reports(tmp_path, "loose")
+        assert payload["error"] is None
+        assert payload["tasks"]["verify_lemma22"]["gamma"] == gamma
+        assert [r["status"] for r in payload["reports"]] == [status]
+
     def test_lemma31_without_ism_modulus_exits_3_with_one_report(self, tmp_path):
         skew = {"matrix": [[0.0, 1.0], [-1.0, 0.0]], "offset": [0.0, 0.0]}
         doc_path = write_scenario(tmp_path, name="skew", operator=skew, tasks=["verify_lemma31"])
@@ -550,7 +593,7 @@ class TestRunScenario:
         assert payload["tasks"] == {}
         assert [p.name for p in out_dir.iterdir()] == ["tiny.reports.json"]
 
-    @pytest.mark.parametrize("exponent", [math.nan, math.inf])
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, pytest.param(10**400, id="1e400")])
     def test_non_finite_power_exponent_exits_3_before_any_task(self, tmp_path, exponent):
         schedule = {"rule": "power", "exponent": exponent}
         doc_path = write_scenario(tmp_path, name="nanexp", tasks=SOLVE_BOTH,

@@ -15,6 +15,7 @@ from vikit.geometry import (
     contains,
     project,
 )
+from vikit.operators import AffineOperator
 from vikit.solvers import AffineAverage
 
 from oracles import (
@@ -243,6 +244,37 @@ class TestFiniteVectorFields:
         source[0] = 5
         assert stored.dtype == float and stored.tolist() == [1.0, 2.0]
         assert not stored.flags.writeable
+
+
+# Every other array a frozen object stores: (make from an int source, attribute).
+FROZEN_ARRAYS = [
+    (lambda a: Box(lower=a[0], upper=[9, 9]), "lower"),
+    (lambda a: Box(lower=[0, 0], upper=a[0]), "upper"),
+    (lambda a: AffineOperator(matrix=a, offset=[0, 0]), "matrix"),
+    (lambda a: AffineOperator(matrix=np.eye(2), offset=a[0]), "offset"),
+    (lambda a: AffineSubspace(basepoint=[0, 0], orthonormal_basis=a), "orthonormal_basis"),
+]
+
+
+@pytest.mark.parametrize("dtype", [int, float])
+@pytest.mark.parametrize("make,attr", FROZEN_ARRAYS, ids=[f[1] for f in FROZEN_ARRAYS])
+def test_frozen_array_is_a_read_only_float_copy(make, attr, dtype):
+    source = np.eye(2, dtype=dtype)  # a row of it is a view: a stored view would change below
+    stored = getattr(make(source), attr)
+    before = stored.tolist()
+    source[...] = 7
+    assert stored.dtype == float and stored.tolist() == before
+    assert not stored.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stored[...] = 0.0
+
+
+@pytest.mark.parametrize("cache", ["_sym", "_gram", "_sym_spectrum", "_singular"])
+def test_cached_spectra_are_read_only_floats(cache):
+    stored = getattr(AffineOperator(matrix=[[2, 1], [0, 1]], offset=[0, 0]), cache)
+    assert stored.dtype == float and not stored.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stored[...] = 0.0
 
 
 class TestContainsExamples:

@@ -26,6 +26,7 @@ from vikit.solvers import (
     NonexpansiveMap,
     ProjectionOnto,
     compare_stopping,
+    natural_residual_factor,
     shortcut_distance_bound,
     solve_halpern,
     solve_projected_gradient,
@@ -74,7 +75,8 @@ class TestAnchorSchedule:
         with pytest.raises(ConfigurationError, match="^anchor schedule exponent must be positive$"):
             AnchorSchedule(rule="power", exponent=0.0)
 
-    @pytest.mark.parametrize("exponent", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf"),
+                                          pytest.param(10**400, id="1e400")])
     def test_power_exponent_must_be_finite(self, exponent):
         with pytest.raises(ConfigurationError, match="^anchor schedule exponent must be positive$"):
             AnchorSchedule(rule="power", exponent=exponent)
@@ -336,6 +338,32 @@ class TestCompareStopping:
             assert record.shortcut_iteration == expected["shortcut_iteration"]
             assert record.natural_iteration == expected["natural_iteration"]
             assert record.shortcut_iteration <= record.natural_iteration + 5
+
+    def test_natural_residual_factor(self):
+        # C = (1 + lam L)/(lam mu) for diag(2, 1): L = 2, mu = 1
+        op = AffineOperator(matrix=[[2.0, 0.0], [0.0, 1.0]], offset=[-2.0, 1.0])
+        assert natural_residual_factor(op, 0.4) == (1.0 + 0.4 * 2.0) / 0.4 == 4.5
+
+    @pytest.mark.parametrize("scale", [1.0, 0.25], ids=["lam-mu-subnormal", "lam-mu-underflows"])
+    def test_step_too_small_for_a_finite_factor_certifies_nothing(self, scale):
+        # lam = 5e-324 moves no coordinate, so r_0 = 0 while |x_0 - x*| = sqrt(2);
+        # lam mu is 5e-324 (C = inf) or 0 (no division), and no warning is raised
+        op = AffineOperator(matrix=[[2.0 * scale, 0.0], [0.0, scale]], offset=[-2.0, 1.0])
+        assert natural_residual_factor(op, 5e-324) == math.inf
+        record = compare_stopping(op, UNIT_BOX, IterationConfig(step=5e-324, max_iters=5),
+                                  [0.0, 1.0], [1.0, 0.0])
+        assert record.trace.natural_residuals.tolist() == [0.0]
+        assert record.natural_iteration is None
+
+    def test_natural_iteration_is_the_first_row_certified_by_c_r_n(self, golden_scenarios):
+        for sc in golden_scenarios:
+            record = compare_stopping(sc.operator, sc.set_, sc.config, sc.x0, sc.x_star,
+                                      sc.delta)
+            c = natural_residual_factor(sc.operator, sc.config.step)
+            bound = c * record.trace.natural_residuals
+            first = int(np.argmax(bound <= sc.delta))
+            assert record.natural_iteration == first and bound[first] <= sc.delta
+            assert np.all(bound[:first] > sc.delta)
 
     def test_singular_operator_refused(self):
         singular = AffineOperator(matrix=[[1.0, 0.0], [0.0, 0.0]], offset=[0.0, 0.0])

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vikit
 from vikit.geometry import Box
 from vikit.operators import AffineOperator
 from vikit.solvers import IterationConfig, solve_projected_gradient
@@ -35,6 +36,24 @@ def _listed_names():
 def test_traced_attribute_resolves(module_name, attr):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attr))
+
+
+SHIM = "# noqa: F401  (perfbench/tracing.py wraps this name)"
+
+
+def _shims():
+    """(module, imported name) for each vikit import kept only for the tracer."""
+    return [(f"vikit.{path.stem}", line.split(" import ")[1].split()[0])
+            for path in sorted(Path(vikit.__file__).parent.glob("*.py"))
+            for line in path.read_text().splitlines() if line.endswith(SHIM)]
+
+
+@pytest.mark.parametrize("module_name,attr", _shims())
+def test_tracer_shim_is_wrapped_by_the_tracer(module_name, attr):
+    # the reverse of test_traced_attribute_resolves: a shim whose wrapper is
+    # gone is dead code, so the two must be dropped together
+    tracing = _tracing_module()
+    assert attr in tracing.SPANNED.get(module_name, ()) or (module_name, attr) in tracing.COUNTED
 
 
 def test_trace_bytes_reads_a_real_trace():

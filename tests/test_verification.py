@@ -384,6 +384,26 @@ class TestLemmaCocoerciveExpansive:
         assert sampled.status == "Fail"
         assert sampled.witness is not None
 
+    @pytest.mark.parametrize("m,v,eps,gamma,status", [
+        (0.0, 0.0, 2.0, 0.0, "PreconditionViolated"),
+        (0.5, -1.0, 2.0, -3.0, "PreconditionViolated"),
+        (1.0, 1.0, 0.0, 1.0, "Pass"),
+        (1.0, 1.5, 0.0, 1.5, "Fail"),
+    ], ids=["v-zero", "v-negative", "eps-zero", "eps-zero-overstated"])
+    def test_constants_past_the_hypothesis_follow_gamma(self, m, v, eps, gamma, status):
+        # v <= 0 or eps = 0 is no input error: gamma = v - m eps^2 decides, and
+        # diag(2, 1) is 1-expansive and 1-strongly monotone, but not 1.5-
+        report, derived = lemma_cocoercive_expansive(DIAG_OP, m, v, eps)
+        assert (derived, report.status) == (gamma, status)
+        pairs = sample_pairs(2, count=2000, seed=4)
+        sampled, sampled_gamma = sampled_lemma_cocoercive_expansive(DIAG_OP, m, v, eps, pairs)
+        assert (sampled_gamma, sampled.status) == (gamma, status)
+
+    @pytest.mark.parametrize("eps", [-1.0, -1e-300])
+    def test_negative_eps_rejected(self, eps):
+        with pytest.raises(ValidationError, match="eps finite and nonnegative"):
+            lemma_cocoercive_expansive(DIAG_OP, 0.0, 1.0, eps)
+
     def test_empty_pairs_refused(self):
         with pytest.raises(ValidationError):
             sampled_lemma_cocoercive_expansive(DIAG_OP, 0.0, 1.0, 2.0, [])
