@@ -354,8 +354,11 @@ def _run_tasks(scenario: Scenario, out_dir: Path, records: dict, reports: list) 
             records[task] = {**fields, "trace_csv": csv_name}
 
         elif task == "verify_lemma22":
-            certified = None if scenario.moduli else certify_moduli(op)
-            m, v, eps = scenario.moduli or (0.0, certified.strong_monotonicity, certified.lipschitz)
+            if scenario.moduli is None:
+                certified = certify_moduli(op)
+                m, v, eps = 0.0, certified.strong_monotonicity, certified.lipschitz
+            else:
+                m, v, eps = scenario.moduli
             report, gamma = lemma_cocoercive_expansive(op, m, v, eps)
             reports.append(report)
             records[task] = {"gamma": gamma if np.isfinite(gamma) else None,

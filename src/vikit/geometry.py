@@ -44,8 +44,8 @@ def _point(x, dim: int, what: str = "vector", finite_what: str | None = None) ->
 
 
 def _read_only(a) -> np.ndarray:
-    """``a`` as a read-only float array, how every frozen field or cache holds one."""
-    a = np.asarray(a, dtype=float)
+    """A read-only float copy of ``a``, how every frozen field or cache holds an array."""
+    a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
 
@@ -53,10 +53,10 @@ def _read_only(a) -> np.ndarray:
 def _finite_vector(obj, name: str, what: str) -> np.ndarray:
     """Store field ``name`` of the frozen ``obj`` as a read-only float vector,
     or raise ValidationError "<what> must be a finite vector"."""
-    v = np.array(getattr(obj, name), dtype=float)
+    v = _read_only(getattr(obj, name))
     if v.ndim != 1 or not np.all(np.isfinite(v)):
         raise ValidationError(f"{what} must be a finite vector")
-    object.__setattr__(obj, name, _read_only(v))
+    object.__setattr__(obj, name, v)
     return v
 
 
@@ -68,16 +68,16 @@ class Box(ConvexSet):
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.array(self.lower, dtype=float)
-        hi = np.array(self.upper, dtype=float)
+        lo = _read_only(self.lower)
+        hi = _read_only(self.upper)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValidationError("box bounds must be vectors of equal length")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValidationError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValidationError("box requires lower <= upper componentwise")
-        object.__setattr__(self, "lower", _read_only(lo))
-        object.__setattr__(self, "upper", _read_only(hi))
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
 
     @property
     def dim(self) -> int:
@@ -183,7 +183,7 @@ class AffineSubspace(ConvexSet):
 
     def __post_init__(self):
         b = _finite_vector(self, "basepoint", "basepoint")
-        basis = np.array(self.orthonormal_basis, dtype=float)
+        basis = _read_only(self.orthonormal_basis)
         if basis.ndim != 2 or basis.shape[1] != b.shape[0]:
             raise ValidationError("basis vectors must match the basepoint dimension")
         if not np.all(np.isfinite(basis)):
@@ -192,7 +192,7 @@ class AffineSubspace(ConvexSet):
         k = basis.shape[0]
         if k > b.shape[0] or (k and np.max(np.abs(basis @ basis.T - np.eye(k))) > 1e-12):
             raise ValidationError("basis vectors must be pairwise orthonormal within 1e-12")
-        object.__setattr__(self, "orthonormal_basis", _read_only(basis))
+        object.__setattr__(self, "orthonormal_basis", basis)
 
     @property
     def dim(self) -> int:

@@ -43,8 +43,8 @@ class AffineOperator:
     offset: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        q = np.array(self.offset, dtype=float)
+        m = _read_only(self.matrix)
+        q = _read_only(self.offset)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"matrix must be square, got shape {m.shape}")
         if q.ndim != 1:
@@ -55,8 +55,8 @@ class AffineOperator:
             raise ValidationError("operator dimension must be positive")
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(q))):
             raise ValidationError("operator entries must be finite")
-        object.__setattr__(self, "matrix", _read_only(m))
-        object.__setattr__(self, "offset", _read_only(q))
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "offset", q)
 
     @property
     def dim(self) -> int:
@@ -187,8 +187,11 @@ def _check_forms(op: AffineOperator, name: str, forms) -> VerificationReport:
     deficits = []
     for a, b, c in forms:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-            scale = (abs(c) + (abs(a) * op._sym_norm if a else 0.0)
-                     + (abs(b) * op._gram_norm if b else 0.0))
+            scale = abs(c)
+            if a:
+                scale += abs(a) * op._sym_norm
+            if b:
+                scale += abs(b) * op._gram_norm
         if not np.isfinite(scale):
             raise ValidationError(f"{name}: the quadratic form overflows a float")
         if a and b:

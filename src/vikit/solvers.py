@@ -275,9 +275,9 @@ def _run(op, set_, cfg, x0, x_ref, advance) -> IterationTrace:
         n += 1
 
     s = None if a_ref is None else np.asarray(op_residuals)
-    return IterationTrace(
-        iterates=np.asarray(iterates),
-        natural_residuals=np.asarray(residuals),
+    return IterationTrace(  # which stores its own read-only copies
+        iterates=iterates,
+        natural_residuals=residuals,
         operator_residuals=s,
         shortcut_bounds=None if s is None or gamma <= 0.0 else shortcut_distance_bound(gamma, s),
         status=status,
@@ -352,13 +352,18 @@ def compare_stopping(
     a C that is not finite certifies nothing, so (b) is then None."""
     _check_delta(delta)
     if certify_moduli(op).expansiveness <= 0.0:
-        raise ConfigurationError("non-expansive operator: sigma_min(M) = 0, "
-                                 "the shortcut bound is unavailable")
+        raise ConfigurationError(
+            "non-expansive operator: sigma_min(M) = 0, the shortcut bound is unavailable"
+        )
     # Run past both thresholds: the natural-residual stop must not cut the
-    # trace before the shortcut criterion has a chance to fire.
-    inner = replace(cfg, residual_tol=min(cfg.residual_tol, delta * COMPARISON_TOL_FACTOR))
-    trace = solve_projected_gradient(op, set_, inner, x0, x_ref=x_star)
+    # trace before either criterion has a chance to fire.  C r_n <= delta needs
+    # r_n <= delta / C; half of it keeps rounding in C r_n from missing delta.
     c = natural_residual_factor(op, cfg.step)
+    tol = delta * min(COMPARISON_TOL_FACTOR, 0.5 / c)
+    if tol == 0.0:  # C = inf, or delta / C underflows: C r_n certifies nothing
+        c, tol = math.inf, delta * COMPARISON_TOL_FACTOR
+    inner = replace(cfg, residual_tol=min(cfg.residual_tol, tol))
+    trace = solve_projected_gradient(op, set_, inner, x0, x_ref=x_star)
     with np.errstate(over="ignore"):  # a C r_n past the float range certifies nothing
         natural = _first_at_most(c * trace.natural_residuals, delta) if c < math.inf else None
     return ComparisonRecord(

@@ -49,9 +49,10 @@ class BruteForceGrid:
             raise ValidationError("vi_tolerance must be positive")
         if self.set_.dim > GRID_DIM_GUARD:
             raise ValidationError(f"grid oracle limited to dimension <= {GRID_DIM_GUARD}")
-        if (count := self.count()) > GRID_POINT_GUARD:
-            raise ValidationError(f"grid would hold {count} points, over the "
-                                  f"{GRID_POINT_GUARD} guard")
+        if self.count() > GRID_POINT_GUARD:
+            raise ValidationError(
+                f"grid would hold {self.count()} points, over the {GRID_POINT_GUARD} guard"
+            )
 
     def _axis_steps(self) -> list[int]:
         box = self.set_

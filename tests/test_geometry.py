@@ -16,7 +16,7 @@ from vikit.geometry import (
     project,
 )
 from vikit.operators import AffineOperator
-from vikit.solvers import AffineAverage
+from vikit.solvers import AffineAverage, IterationTrace
 
 from oracles import (
     literal_ball_project,
@@ -253,6 +253,10 @@ FROZEN_ARRAYS = [
     (lambda a: AffineOperator(matrix=a, offset=[0, 0]), "matrix"),
     (lambda a: AffineOperator(matrix=np.eye(2), offset=a[0]), "offset"),
     (lambda a: AffineSubspace(basepoint=[0, 0], orthonormal_basis=a), "orthonormal_basis"),
+    *[(lambda a, name=name: IterationTrace(
+        **{"iterates": a, "natural_residuals": a[0], "operator_residuals": a[0],
+           "shortcut_bounds": a[0], name: a}, status="Converged", gamma=1.0), name)
+      for name in ("iterates", "natural_residuals", "operator_residuals", "shortcut_bounds")],
 ]
 
 

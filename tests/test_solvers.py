@@ -365,6 +365,20 @@ class TestCompareStopping:
             assert record.natural_iteration == first and bound[first] <= sc.delta
             assert np.all(bound[:first] > sc.delta)
 
+    def test_natural_criterion_fires_when_c_exceeds_1000(self):
+        # M = diag(50, 1) at half the step limit 2 mu / L^2: C = 1.02 / 4e-4 = 2550,
+        # so C r_n <= delta needs r_n <= delta / 2550, below a stop at delta * 1e-3
+        op = AffineOperator(matrix=[[50.0, 0.0], [0.0, 1.0]], offset=[-25.0, -0.5])
+        c = natural_residual_factor(op, 4e-4)
+        assert c == pytest.approx(2550.0)
+        cfg = IterationConfig(step=4e-4, residual_tol=1e-4, max_iters=20_000)
+        record = compare_stopping(op, UNIT_BOX, cfg, [0.5, 1.0], [0.5, 0.5], delta=0.1)
+        bound = c * record.trace.natural_residuals
+        first = int(np.argmax(bound <= 0.1))
+        assert record.natural_iteration == first and bound[first] <= 0.1
+        assert np.all(bound[:first] > 0.1)
+        assert np.linalg.norm(record.trace.iterates[first] - [0.5, 0.5]) <= 0.1
+
     def test_singular_operator_refused(self):
         singular = AffineOperator(matrix=[[1.0, 0.0], [0.0, 0.0]], offset=[0.0, 0.0])
         with pytest.raises(ConfigurationError, match="non-expansive operator"):
