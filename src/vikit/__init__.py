@@ -22,6 +22,7 @@ from .geometry import (
 from .operators import (
     AffineOperator,
     OperatorModuli,
+    VerificationReport,
     certify_moduli,
     check_expansive,
     check_ism,
@@ -29,7 +30,6 @@ from .operators import (
     evaluate,
     sample_pairs,
 )
-from .reports import VerificationReport
 from .solvers import (
     AffineAverage,
     AnchorSchedule,

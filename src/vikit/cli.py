@@ -23,9 +23,9 @@ import orjson
 
 from .errors import ConfigurationError, DivergenceError, ValidationError, VikitError
 from .geometry import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex
-from .operators import AffineOperator, certify_moduli, check_expansive, check_ism
+from .operators import (PASS, PRECONDITION_VIOLATED, AffineOperator, VerificationReport,
+                        certify_moduli, check_expansive, check_ism)
 from .operators import sample_pairs  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .reports import PASS, PRECONDITION_VIOLATED, VerificationReport
 from .solvers import (
     DEFAULT_COMPARISON_DELTA,
     DEFAULT_MAX_ITERS,
@@ -146,22 +146,23 @@ class Scenario:
                 ),
                 set_=set_,
                 config=IterationConfig(
-                    step=float(_field(config, "lambda", "config")),
-                    anchor_schedule=AnchorSchedule() if schedule is None else AnchorSchedule(
-                        **{k: v for k, v in schedule.items() if k in _SCHEDULE_KEYS}),
-                    max_iters=int(config.get("max_iters", DEFAULT_MAX_ITERS)),
-                    residual_tol=float(config.get("tol", DEFAULT_RESIDUAL_TOL)),
+                    step=float(_number(config, "lambda", "config")),
+                    anchor_schedule=AnchorSchedule() if schedule is None else AnchorSchedule(**{
+                        k: v if k == "rule" else _number(schedule, k, "anchor_schedule")
+                        for k, v in schedule.items() if k in _SCHEDULE_KEYS}),
+                    max_iters=int(_number(config, "max_iters", "config", DEFAULT_MAX_ITERS)),
+                    residual_tol=float(_number(config, "tol", "config", DEFAULT_RESIDUAL_TOL)),
                 ),
                 x0=np.asarray(_field(doc, "x0", "scenario"), dtype=float),
                 tasks=tasks,
-                seed=int(config.get("seed", 0)),
+                seed=int(_number(config, "seed", "config", 0)),
                 map_s=_map(doc.get("map_s")),
                 x_star=_vector(doc.get("x_star")),
                 anchor=_vector(doc.get("anchor")),
                 moduli=None if moduli is None else tuple(
-                    float(_field(moduli, key, "moduli spec")) for key in ("m", "v", "eps")),
+                    float(_number(moduli, key, "moduli spec")) for key in ("m", "v", "eps")),
                 grid=_grid(doc.get("grid"), set_, tasks),
-                delta=float(doc.get("delta", DEFAULT_COMPARISON_DELTA)),
+                delta=float(_number(doc, "delta", "scenario", DEFAULT_COMPARISON_DELTA)),
             )
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"mistyped scenario field: {exc}") from exc
@@ -175,6 +176,17 @@ def _field(doc, key: str, where: str):
         raise ValidationError(f"{where} missing field '{key}'") from None
 
 
+def _number(doc, key: str, where: str, default=None):
+    """``doc[key]`` (``default``, if given, for a missing key) if it is a JSON number, not
+    a boolean or a string, integral for max_iters, seed and dim; else ValidationError."""
+    value = _field(doc, key, where) if default is None else doc.get(key, default)
+    integral = key in ("max_iters", "seed", "dim")
+    if type(value) not in (int, float) or (integral and value % 1):
+        kind = "an integer" if integral else "a number"
+        raise ValidationError(f"{where} field '{key}' must be {kind}, got {json.dumps(value)[:40]}")
+    return value
+
+
 def _vector(value) -> np.ndarray | None:
     return None if value is None else np.asarray(value, dtype=float)
 
@@ -184,7 +196,9 @@ def _set(doc) -> ConvexSet:
     if kind not in _SET_TYPES:
         raise ValidationError(f"unknown set type '{kind}'")
     make, keys = _SET_TYPES[kind]
-    return make(*(_field(doc, key, f"set spec of type '{kind}'") for key in keys))
+    where = f"set spec of type '{kind}'"
+    return make(*((_number if key in ("radius", "offset", "dim") else _field)(doc, key, where)
+                  for key in keys))
 
 
 def _grid(doc, set_: ConvexSet, tasks) -> BruteForceGrid | None:
@@ -195,8 +209,8 @@ def _grid(doc, set_: ConvexSet, tasks) -> BruteForceGrid | None:
         return None
     return BruteForceGrid(
         set_=set_,
-        h=float(_field(doc, "h", "grid spec")),
-        vi_tolerance=float(doc.get("vi_tolerance", BruteForceGrid.vi_tolerance)),
+        h=float(_number(doc, "h", "grid spec")),
+        vi_tolerance=float(_number(doc, "vi_tolerance", "grid spec", BruteForceGrid.vi_tolerance)),
     )
 
 
@@ -208,7 +222,7 @@ def _map(doc) -> NonexpansiveMap:
         return ProjectionOnto(_set(_field(doc, "set", "projection map spec")))
     if kind == "affine_average":
         where = "affine_average map spec"
-        return AffineAverage(t=float(_field(doc, "t", where)),
+        return AffineAverage(t=float(_number(doc, "t", where)),
                              fixed_point=_field(doc, "fixed_point", where))
     raise ValidationError(f"unknown nonexpansive map type '{kind}'")
 

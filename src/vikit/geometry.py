@@ -22,14 +22,11 @@ class ConvexSet:
     dim: int
 
     def project(self, x) -> np.ndarray:
-        return self._project(self._check(x))
+        return self._project(_point(x, self.dim, finite_what="point"))
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         """Nearest point to a finite float vector of length ``dim``."""
         raise NotImplementedError
-
-    def _check(self, x) -> np.ndarray:
-        return _point(x, self.dim, finite_what="point")
 
 
 def _point(x, dim: int, what: str = "vector", finite_what: str | None = None) -> np.ndarray:
@@ -130,16 +127,23 @@ class Halfspace(ConvexSet):
         if not np.isfinite(self.offset):
             raise ValidationError("halfspace offset must be finite")
         object.__setattr__(self, "offset", float(self.offset))
+        # Scaled by 2^-e (exact): max |normal_i| is in [1/2, 1), so |normal|^2 is in [1/4, n).
+        e = math.frexp(np.max(np.abs(self.normal)))[1]
+        normal = _read_only(np.ldexp(self.normal, -e))
+        with np.errstate(over="ignore"):  # an inf offset keeps every x with finite <normal, x>
+            offset = float(np.ldexp(self.offset, -e))
+        object.__setattr__(self, "_scaled", (normal, offset, float(normal @ normal)))
 
     @property
     def dim(self) -> int:
         return self.normal.shape[0]
 
     def _project(self, x):
-        slack = float(self.normal @ x) - self.offset
+        normal, offset, norm2 = self._scaled
+        slack = float(normal @ x) - offset
         if slack <= 0.0:
             return x
-        return x - (slack / float(self.normal @ self.normal)) * self.normal
+        return x - (slack / norm2) * normal
 
 
 @dataclass(frozen=True)

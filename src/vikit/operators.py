@@ -12,6 +12,11 @@ cached spectrum: M_s's eigenvalues, or M^T M's as the squared singular values
 sigma(M)^2.  Only a Q with both terms takes an eigen-solve of its own.  On
 failure a checker reports the pair (w, 0) for a minimizing unit eigenvector w
 of Q.
+
+A ``VerificationReport`` measures violations as *slack deficits*: a required
+inequality ``lhs >= rhs`` checked with tolerance ``tol`` has deficit
+``rhs - lhs - tol``, and a check passes iff its largest deficit, the report's
+``max_violation``, is <= 0.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .geometry import _point, _read_only
-from .reports import FAIL, PASS, VerificationReport
-from .reports import pairwise_report  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 # Dimensionless slack of the quadratic-form checks: Q passes iff
 # lambda_min(Q) >= -RELATIVE_TOLERANCE * S, S the spectral scale of Q's terms
@@ -33,6 +36,36 @@ RELATIVE_TOLERANCE = 1e-12
 EXACT_NOTE = f"exact: lambda_min(Q) >= -{RELATIVE_TOLERANCE:g} * S over all pairs"
 SAMPLE_LOW = -10.0
 SAMPLE_HIGH = 10.0
+
+PASS = "Pass"
+FAIL = "Fail"
+PRECONDITION_VIOLATED = "PreconditionViolated"
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    property: str
+    status: str
+    witness: tuple[np.ndarray, np.ndarray] | None = None
+    samples_used: int = 0
+    max_violation: float = 0.0
+    seed: int | None = None
+    note: str | None = None
+
+    def as_dict(self) -> dict:
+        """JSON-ready form; field names are part of the external interface."""
+        witness = None
+        if self.witness is not None:
+            witness = [np.asarray(w, dtype=float).tolist() for w in self.witness]
+        return {
+            "property": self.property,
+            "status": self.status,
+            "witness": witness,
+            "samples_used": int(self.samples_used),
+            "max_violation": float(self.max_violation) if np.isfinite(self.max_violation) else None,
+            "seed": self.seed,
+            "note": self.note,
+        }
 
 
 @dataclass(frozen=True)
@@ -153,6 +186,40 @@ def sample_pairs(dim: int, count: int, seed: int = 0) -> tuple[np.ndarray, np.nd
     xs = rng.uniform(SAMPLE_LOW, SAMPLE_HIGH, size=(count, dim))
     ys = rng.uniform(SAMPLE_LOW, SAMPLE_HIGH, size=(count, dim))
     return xs, ys
+
+
+def pairwise_report(
+    name: str,
+    deficits: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    seed: int | None = None,
+) -> VerificationReport:
+    """Build a report from per-pair slack deficits.
+
+    ``deficits`` may stack several inequalities per pair; it must have shape
+    (m * k,) for k pairs, with pair index = flat index mod k.  The witness is
+    the first violating pair in sample order.
+    """
+    deficits = np.asarray(deficits, dtype=float)
+    k = xs.shape[0]
+    max_violation = float(np.max(deficits))
+    bad = np.nonzero(deficits > 0.0)[0]
+    if bad.size:
+        first = int(np.min(bad % k))
+        witness = (xs[first].copy(), ys[first].copy())
+        status = FAIL
+    else:
+        witness = None
+        status = PASS
+    return VerificationReport(
+        property=name,
+        status=status,
+        witness=witness,
+        samples_used=k,
+        max_violation=max_violation,
+        seed=seed,
+    )
 
 
 def _form(op: AffineOperator, a: float, b: float, c: float) -> np.ndarray:

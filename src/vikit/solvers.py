@@ -237,9 +237,9 @@ def _check_inputs(op: AffineOperator, set_: ConvexSet, s_map=None, **vectors) ->
 def _run(op, set_, cfg, x0, x_ref, advance) -> IterationTrace:
     gamma = _check_step(op, cfg)
     _check_inputs(op, set_, x0=x0)
-    # Iterates live in C: the operator's domain.  Projecting the start point
-    # also makes the membership postcondition independent of residual_tol.
-    x = set_.project(x0)
+    # Iterates live in C: the operator's domain.  x0, checked just above, is projected
+    # unchecked; that also makes the membership postcondition independent of residual_tol.
+    x = set_._project(np.asarray(x0, dtype=float))
     a_ref = None if x_ref is None else evaluate(op, x_ref)
     if not np.isfinite(x).all():
         raise ValidationError("input vector has non-finite entries")
@@ -351,18 +351,20 @@ def compare_stopping(
     natural-residual bound C r_n (``natural_residual_factor``) fall to delta;
     a C that is not finite certifies nothing, so (b) is then None."""
     _check_delta(delta)
-    if certify_moduli(op).expansiveness <= 0.0:
+    moduli = certify_moduli(op)
+    if moduli.expansiveness <= 0.0:
         raise ConfigurationError(
             "non-expansive operator: sigma_min(M) = 0, the shortcut bound is unavailable"
         )
-    # Run past both thresholds: the natural-residual stop must not cut the
-    # trace before either criterion has a chance to fire.  C r_n <= delta needs
-    # r_n <= delta / C; half of it keeps rounding in C r_n from missing delta.
+    # Run past both thresholds: the natural-residual stop must not cut the trace before
+    # either criterion can fire.  C r_n <= delta needs r_n <= delta / C; as s_n <= L C r_n,
+    # s_n / gamma <= delta needs r_n <= delta gamma / (L C); halves absorb rounding.
     c = natural_residual_factor(op, cfg.step)
-    tol = delta * min(COMPARISON_TOL_FACTOR, 0.5 / c)
-    if tol == 0.0:  # C = inf, or delta / C underflows: C r_n certifies nothing
-        c, tol = math.inf, delta * COMPARISON_TOL_FACTOR
-    inner = replace(cfg, residual_tol=min(cfg.residual_tol, tol))
+    natural_tol = delta * min(COMPARISON_TOL_FACTOR, 0.5 / c)
+    if natural_tol == 0.0:  # C = inf, or delta / C underflows: C r_n certifies nothing
+        c, natural_tol = math.inf, delta * COMPARISON_TOL_FACTOR
+    tol = delta * min(COMPARISON_TOL_FACTOR, 0.5 * moduli.expansiveness / (moduli.lipschitz * c))
+    inner = replace(cfg, residual_tol=min(cfg.residual_tol, tol or natural_tol))  # tol may be 0
     trace = solve_projected_gradient(op, set_, inner, x0, x_ref=x_star)
     with np.errstate(over="ignore"):  # a C r_n past the float range certifies nothing
         natural = _first_at_most(c * trace.natural_residuals, delta) if c < math.inf else None

@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import Box, ConvexSet, Simplex
-from .operators import AffineOperator, _check_forms
-from .reports import FAIL, PASS, PRECONDITION_VIOLATED, VerificationReport
-from .reports import pairwise_report  # noqa: F401  (perfbench/tracing.py wraps this name)
+from .operators import (FAIL, PASS, PRECONDITION_VIOLATED, AffineOperator,
+                        VerificationReport, _check_forms)
+from .operators import pairwise_report  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .solvers import _check_inputs
 
 GRID_POINT_GUARD = 10_000_000

@@ -27,8 +27,16 @@ import math
 import numpy as np
 
 from vikit.errors import DimensionMismatchError, ValidationError
-from vikit.operators import EXACT_NOTE, RELATIVE_TOLERANCE, AffineOperator
-from vikit.reports import FAIL, PASS, PRECONDITION_VIOLATED, VerificationReport, pairwise_report
+from vikit.operators import (
+    EXACT_NOTE,
+    FAIL,
+    PASS,
+    PRECONDITION_VIOLATED,
+    RELATIVE_TOLERANCE,
+    AffineOperator,
+    VerificationReport,
+    pairwise_report,
+)
 from vikit.verification import _check_lemma22_constants
 
 

@@ -232,17 +232,33 @@ class TestRunScenario:
             ("ism_expansive_singleton", "PreconditionViolated")]
 
     def test_overflowing_iterate_exits_4(self, tmp_path):
+        # <normal, x> overflows at x0, which is inside, and at the finite gradient
+        # step y = 0.8e308 (1, 1, 1), which is outside and projects to -inf
         doc_path = write_scenario(
             tmp_path, name="overflow",
-            operator={"matrix": np.eye(2).tolist(), "offset": [-1e130, -1e130]},
-            set={"type": "halfspace", "normal": [1e200, 1e200], "offset": 0.0},
-            config=dict(BASE_SCENARIO["config"], **{"lambda": 0.5}),
-            x0=[-1.0, -1.0], x_star=None, grid=None, tasks=["solve_pg"])
+            operator={"matrix": np.eye(3).tolist(), "offset": [-0.3e308] * 3},
+            set={"type": "halfspace", "normal": [0.99] * 3, "offset": 0.0},
+            config=dict(BASE_SCENARIO["config"], **{"lambda": 1.5}),
+            x0=[-0.7e308] * 3, x_star=None, grid=None, tasks=["solve_pg"])
         with pytest.warns(RuntimeWarning) as record:
             assert cli.run_scenario(doc_path, tmp_path) == 4
         assert [str(w.message) for w in record] == ["overflow encountered in matmul"] * 2
         assert read_reports(tmp_path, "overflow")["error"] == "non-finite iterate at iteration 1"
         assert_outputs_named(tmp_path, "overflow")
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
+    def test_halfspace_whose_normal_squared_leaves_the_float_range(self, tmp_path, scale):
+        # |normal|^2 overflowed, was subnormal or was 0: solve_pg converged at
+        # (1, 1), 1.41 from x_star, or ended in a ZeroDivisionError traceback
+        doc_path = write_scenario(
+            tmp_path, name="halfspace",
+            operator={"matrix": np.eye(2).tolist(), "offset": [-1.0, -1.0]},
+            set={"type": "halfspace", "normal": [scale, scale], "offset": 0.0},
+            x0=[1.0, 1.0], x_star=[0.0, 0.0], grid=None, tasks=["solve_pg"])
+        assert cli.run_scenario(doc_path, tmp_path) == 0
+        record = read_reports(tmp_path, "halfspace")["tasks"]["solve_pg"]
+        assert record["status"] == "Converged"
+        np.testing.assert_allclose(record["final"], [0.0, 0.0], rtol=0.0, atol=1e-15)
 
     def test_file_is_decoded_as_utf8(self, tmp_path):
         doc = dict(BASE_SCENARIO, name="caf\u00e9", description="\u03bb = 0.4")
@@ -458,12 +474,19 @@ class TestRunScenario:
             {"config": dict(BASE_SCENARIO["config"], seed=float("inf"))},
             {"config": dict(BASE_SCENARIO["config"], seed=-1), "tasks": ["verify_lemma22"]},
             {"set": {"type": "simplex", "dim": float("inf")}},
+            # Each of these was cast (to 2, 1, 2, a 2-D simplex and 0.4) and ran.
+            {"config": dict(BASE_SCENARIO["config"], max_iters=2.5)},
+            {"config": dict(BASE_SCENARIO["config"], max_iters=True)},
+            {"config": dict(BASE_SCENARIO["config"], seed=2.7)},
+            {"set": {"type": "simplex", "dim": 2.9}},
+            {"config": dict(BASE_SCENARIO["config"], **{"lambda": "0.4"})},
         ],
         ids=["lambda-str", "lambda-null", "x0-str", "tasks-int", "grid-h-str", "moduli-m-str",
              "list-doc", "fixed-point-3d", "anchor-3d", "projection-3d", "x-star-3d", "set-3d",
              "x0-nan", "grid-no-h", "moduli-no-eps", "moduli-m-negative", "moduli-nan",
              "delta-nan", "grid-over-point-guard", "grid-5d", "max-iters-inf", "seed-inf",
-             "seed-negative", "simplex-dim-inf"],
+             "seed-negative", "simplex-dim-inf", "max-iters-float", "max-iters-bool",
+             "seed-float", "simplex-dim-float", "lambda-numeric-str"],
     )
     @pytest.mark.parametrize("seed", [None, 7])
     def test_mistyped_fields_exit_3_with_report(self, tmp_path, changes, seed):
@@ -478,6 +501,53 @@ class TestRunScenario:
         payload = read_reports(out_dir, "mistyped")
         assert payload["exit_status"] == 3
         assert payload["error"]
+
+    @pytest.mark.parametrize("changes,error", [
+        ({"config": dict(BASE_SCENARIO["config"], max_iters=2.5)},
+         "config field 'max_iters' must be an integer, got 2.5"),
+        ({"config": dict(BASE_SCENARIO["config"], max_iters=True)},
+         "config field 'max_iters' must be an integer, got true"),
+        ({"config": dict(BASE_SCENARIO["config"], seed=2.7)},
+         "config field 'seed' must be an integer, got 2.7"),
+        ({"set": {"type": "simplex", "dim": 2.9}},
+         "set spec of type 'simplex' field 'dim' must be an integer, got 2.9"),
+        ({"config": dict(BASE_SCENARIO["config"], **{"lambda": "0.4"})},
+         "config field 'lambda' must be a number, got \"0.4\""),
+        ({"config": dict(BASE_SCENARIO["config"], tol=False)},
+         "config field 'tol' must be a number, got false"),
+        ({"config": dict(BASE_SCENARIO["config"], anchor_schedule={"ratio": "0.5"})},
+         "anchor_schedule field 'ratio' must be a number, got \"0.5\""),
+        ({"set": {"type": "ball", "center": [0.0, 0.0], "radius": "1"}},
+         "set spec of type 'ball' field 'radius' must be a number, got \"1\""),
+        ({"set": {"type": "halfspace", "normal": [1.0, 0.0], "offset": None}},
+         "set spec of type 'halfspace' field 'offset' must be a number, got null"),
+        ({"map_s": {"type": "affine_average", "t": True, "fixed_point": [0.0, 0.0]}},
+         "affine_average map spec field 't' must be a number, got true"),
+        ({"moduli": {"m": 0.0, "v": "1", "eps": 2.0}, "tasks": ["verify_lemma22"]},
+         "moduli spec field 'v' must be a number, got \"1\""),
+        ({"grid": {"h": 0.02, "vi_tolerance": "1e-9"}, "tasks": ["brute_force"]},
+         "grid spec field 'vi_tolerance' must be a number, got \"1e-9\""),
+        ({"delta": [1e-6], "tasks": ["compare_stopping"]},
+         "scenario field 'delta' must be a number, got [1e-06]"),
+    ], ids=["max-iters-float", "max-iters-bool", "seed-float", "simplex-dim-float",
+            "lambda-numeric-str", "tol-bool", "schedule-str", "radius-str", "offset-null",
+            "t-bool", "moduli-str", "vi-tolerance-str", "delta-list"])
+    def test_number_field_of_the_wrong_type_is_named(self, tmp_path, changes, error):
+        # a number field holds a JSON number, not a boolean, a string or null;
+        # max_iters, seed and dim hold an integral one
+        doc_path = write_scenario(tmp_path, name="typed", **changes)
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 3
+        assert read_reports(out_dir, "typed")["error"] == error
+
+    @pytest.mark.parametrize("changes", [
+        {"config": dict(BASE_SCENARIO["config"], max_iters=5000.0, seed=5.0)},
+        {"set": {"type": "simplex", "dim": 2.0}},
+        {"config": dict(BASE_SCENARIO["config"], **{"lambda": 0.4, "tol": 1})},
+    ], ids=["integral-floats", "integral-float-dim", "integer-tol"])
+    def test_integral_float_and_integer_numbers_are_accepted(self, tmp_path, changes):
+        doc_path = write_scenario(tmp_path, name="typed", **changes)
+        assert cli.run_scenario(doc_path, tmp_path) == 0
 
     @pytest.mark.parametrize("field", ["x0", "anchor", "x_star"])
     def test_vector_of_the_wrong_shape_is_named_by_its_shape(self, tmp_path, field):

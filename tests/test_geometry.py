@@ -218,6 +218,24 @@ class TestProjectionBodies:
         x = np.array([1e200, 0.0])
         assert same_bits(Ball(center=[0.0, 0.0], radius=1e300).project(x), x)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
+    def test_halfspace_normal_whose_square_leaves_the_float_range(self, scale):
+        # |normal|^2 overflows (1e200), is subnormal (1e-160) or is 0 (1e-200):
+        # (1, 1) came back unchanged, as (-1.1e-5, -1.1e-5), or as ZeroDivisionError
+        got = Halfspace(normal=[scale, scale], offset=0.0).project([1.0, 1.0])
+        np.testing.assert_allclose(got, [0.0, 0.0], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("exponent", range(-300, 301, 25))
+    def test_halfspace_projection_is_the_same_at_every_normal_scale(self, exponent):
+        # {x : <s u, x> <= s b} is one set for every s > 0
+        rng = np.random.default_rng(exponent + 300)
+        u, b, s = rng.normal(size=3), rng.normal(), 10.0**exponent
+        scaled, unit = Halfspace(normal=s * u, offset=s * b), Halfspace(normal=u, offset=b)
+        for x in 5.0 * rng.normal(size=(8, 3)):
+            got = scaled.project(x)
+            np.testing.assert_allclose(got, unit.project(x), rtol=1e-13, atol=1e-13)
+            assert u @ got <= b + 1e-12
+
 
 # Each class that stores a finite vector field, with the field's name in its
 # message: (make from a value, attribute, name).

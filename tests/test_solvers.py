@@ -379,6 +379,21 @@ class TestCompareStopping:
         assert np.all(bound[:first] > 0.1)
         assert np.linalg.norm(record.trace.iterates[first] - [0.5, 0.5]) <= 0.1
 
+    def test_shortcut_criterion_fires_when_l_over_gamma_times_c_exceeds_1000(self):
+        # M = R diag(30, 1) R^T at half the step limit: C = 930 and L / gamma = 30.
+        # s_n / gamma <= delta needs r_n <= delta gamma / (L C); a stop at
+        # delta / (2C) ended the trace at row 3097, with bound_n = 1.2e-6 there
+        rot = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+        m = rot @ np.diag([30.0, 1.0]) @ rot.T
+        x_star = np.array([1.0, 0.25])
+        op = AffineOperator(matrix=m, offset=np.array([-1.0, 0.0]) - m @ x_star)
+        step = certify_moduli(op).ism_alpha
+        assert natural_residual_factor(op, step) == pytest.approx(930.0)
+        cfg = IterationConfig(step=step, residual_tol=1e-8, max_iters=100_000)
+        record = compare_stopping(op, UNIT_BOX, cfg, [0.0, 0.0], x_star, delta=1e-6)
+        assert (record.shortcut_iteration, record.natural_iteration) == (3148, 2921)
+        assert record.trace.shortcut_bounds[3148] <= 1e-6 < record.trace.shortcut_bounds[3147]
+
     def test_singular_operator_refused(self):
         singular = AffineOperator(matrix=[[1.0, 0.0], [0.0, 0.0]], offset=[0.0, 0.0])
         with pytest.raises(ConfigurationError, match="non-expansive operator"):
@@ -511,18 +526,18 @@ class TestReferenceLoop:
 
     def test_projection_map_is_checked_once_per_solve(self, monkeypatch):
         calls = []
-        check = ConvexSet._check
+        project = ConvexSet.project
 
-        def counting_check(self, x):
+        def counting_project(self, x):
             calls.append(type(self).__name__)
-            return check(self, x)
+            return project(self, x)
 
-        monkeypatch.setattr(ConvexSet, "_check", counting_check)
+        monkeypatch.setattr(ConvexSet, "project", counting_project)
         s_map = ProjectionOnto(Ball(center=[0.5, 0.5], radius=0.25))
         trace = solve_halpern(shifted_identity([0.9, 0.9]), UNIT_BOX, s_map,
                               IterationConfig(step=1.0, max_iters=200), [0.0, 0.0])
         assert trace.rows > 50
-        assert calls == ["Box"]  # the start point's projection only
+        assert calls == []  # _check_inputs checks the start point; no projection re-checks
 
     def test_goldens_match_reference_loop(self, monkeypatch, golden_scenarios):
         for sc in golden_scenarios:
@@ -643,12 +658,12 @@ class TestLoopErrors:
 
     def test_start_point_whose_projection_overflows(self):
         op = AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])
-        halfspace = Halfspace(normal=[1e200, 1e200], offset=0.0)
+        halfspace = Halfspace(normal=[1.0, 1.0], offset=0.0)
         cfg = IterationConfig(step=1.0)
         with pytest.raises(ValidationError, match="^input vector has non-finite entries$"):
-            solve_projected_gradient(op, halfspace, cfg, [1e200, 1e200])
+            solve_projected_gradient(op, halfspace, cfg, [1e308, 1e308])
         with pytest.raises(ValidationError, match="^input vector has non-finite entries$"):
-            solve_halpern(op, halfspace, Identity(), cfg, [1e200, 1e200])
+            solve_halpern(op, halfspace, Identity(), cfg, [1e308, 1e308])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_reference_point(self, bad):
