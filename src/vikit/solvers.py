@@ -244,31 +244,32 @@ def _run(op, set_, cfg, x0, x_ref, advance) -> IterationTrace:
     if not np.isfinite(x).all():
         raise ValidationError("input vector has non-finite entries")
     # Each update is checked to be a finite vector of length n, so a step needs
-    # to check only the point it projects.  sqrt(d @ d) is np.linalg.norm(d).
+    # to check only the point it projects.  BLAS and ufuncs are called directly, bit for
+    # bit: sqrt(d.dot(d)) is np.linalg.norm(d), a finite count is np.isfinite(v).all().
     m, q, step = op.matrix, op.offset, cfg.step
     iterates, residuals, op_residuals = [], [], []
     status = MAX_ITERS
     n = 0
     while True:
-        ax = m @ x + q
+        ax = m.dot(x) + q
         y = x - step * ax
-        if not np.isfinite(y).all():
+        if np.count_nonzero(np.isfinite(y)) != y.size:
             raise ValidationError("point has non-finite entries")
         proj = set_._project(y)
         d = x - proj
-        r = math.sqrt(d @ d)
+        r = math.sqrt(d.dot(d))
         iterates.append(x)
         residuals.append(r)
         if a_ref is not None:
             d = ax - a_ref
-            op_residuals.append(math.sqrt(d @ d))
+            op_residuals.append(math.sqrt(d.dot(d)))
         if r <= cfg.residual_tol:
             status = CONVERGED
             break
         if n >= cfg.max_iters:
             break
         x = advance(n, x, proj)
-        if not np.isfinite(x).all():
+        if np.count_nonzero(np.isfinite(x)) != x.size:
             raise DivergenceError(n + 1)
         if x.shape != proj.shape:
             raise DimensionMismatchError(op.dim, x.shape)

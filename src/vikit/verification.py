@@ -90,7 +90,10 @@ class BruteForceGrid:
 
 def _extreme_nodes(pts: np.ndarray) -> np.ndarray:
     """Rows of ``pts`` whose every coordinate is the minimum or maximum of its axis."""
-    return pts[np.all((pts == pts.min(axis=0)) | (pts == pts.max(axis=0)), axis=1)]
+    mask = np.ones(pts.shape[0], dtype=bool)
+    for col in pts.T.copy():
+        mask &= (col == col.min()) | (col == col.max())
+    return pts[mask]
 
 
 def brute_force_vi(op: AffineOperator, grid: BruteForceGrid) -> np.ndarray:
@@ -101,7 +104,7 @@ def brute_force_vi(op: AffineOperator, grid: BruteForceGrid) -> np.ndarray:
     _check_inputs(op, grid.set_)
     pts = grid.points()
     a_vals = pts @ op.matrix.T + op.offset
-    inner_min = np.min(a_vals @ _extreme_nodes(pts).T, axis=1)
+    inner_min = np.min(_extreme_nodes(pts) @ a_vals.T, axis=0)  # (nodes, N): long rows
     return pts[inner_min - np.einsum("ij,ij->i", a_vals, pts) >= -grid.vi_tolerance]
 
 

@@ -4,7 +4,8 @@ These deliberately avoid the code paths of the package under test: singular
 values come from power iteration on the Gram matrix or from a dense
 eigendecomposition of M^T M (never np.linalg.svd, which the package uses), and
 VI solutions come from grid search over an objective, or from the literal
-all-pairs grid scan, rather than from the package's own corner-node oracle;
+all-pairs grid scan, rather than from the package's own corner-node oracle,
+whose corner mask and inner minimum also have row-wise references here;
 simplex grid points from a recursive generator of integer compositions.
 The solver loop and the trace CSV writer also have literal references here:
 a loop that re-checks every input through the public ``evaluate`` and
@@ -134,6 +135,20 @@ def literal_grid_vi(op, grid) -> np.ndarray:
     """Grid points x with <Ax, y - x> >= -vi_tolerance against every grid
     point y, in lexicographic row order."""
     return grid.points()[literal_vi_gaps(op, grid) >= -grid.vi_tolerance]
+
+
+# The grid oracle's two reductions as they were before they ran along the long
+# axis: the corner mask over whole rows, and the inner minimum along each row.
+
+
+def literal_extreme_nodes(pts: np.ndarray) -> np.ndarray:
+    """Rows of ``pts`` whose every coordinate is the minimum or maximum of its axis."""
+    return pts[np.all((pts == pts.min(axis=0)) | (pts == pts.max(axis=0)), axis=1)]
+
+
+def literal_inner_min(a_vals: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """min over the rows y of ``nodes`` of <a, y>, for each row a of ``a_vals``."""
+    return np.min(a_vals @ nodes.T, axis=1)
 
 
 def _compositions(total: int, parts: int):

@@ -2,11 +2,14 @@ import itertools
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vikit import solvers
 from vikit.errors import (
@@ -441,6 +444,8 @@ RULES = ("harmonic", "power", "geometric")
 LOOP_VARIANTS = list(itertools.product(SET_TYPES, MAP_TYPES, RULES))
 LOOP_DIMS = (1, 2, 3, 10, 50)
 LOOP_INSTANCES = 150
+LARGE_DIM = 500  # past LOOP_DIMS: BLAS blocks the matvec
+LARGE_INSTANCES = (0, 10, 20, 30, 40)  # one per set type, with x_ref on even i
 
 
 def random_set(rng, set_type, n):
@@ -457,13 +462,13 @@ def random_set(rng, set_type, n):
     return AffineSubspace(basepoint=rng.normal(size=n), orthonormal_basis=basis)
 
 
-def loop_instance(i):
+def loop_instance(i, n=None):
     """Instance i: every (set, map, rule) triple recurs every 45 instances,
-    with the dimension shifted each round; even i supply x_ref, and every
-    seventh instance caps the run at 5 iterations."""
+    with the dimension shifted each round unless ``n`` is given; even i supply
+    x_ref, and every seventh instance caps the run at 5 iterations."""
     rng = np.random.default_rng(1000 + i)
     set_type, map_type, rule = LOOP_VARIANTS[i % len(LOOP_VARIANTS)]
-    n = LOOP_DIMS[(i + i // len(LOOP_VARIANTS)) % len(LOOP_DIMS)]
+    n = n or LOOP_DIMS[(i + i // len(LOOP_VARIANTS)) % len(LOOP_DIMS)]
     op = random_monotone_operator(rng, n)
     alpha = certify_moduli(op).ism_alpha
     schedule = AnchorSchedule(rule=rule, scale=rng.uniform(0.2, 1.0),
@@ -500,6 +505,27 @@ class TestReferenceLoop:
         assert_same_trace(
             solve_halpern(*halpern_args, **halpern_kwargs),
             literal_solve(monkeypatch, solve_halpern, *halpern_args, **halpern_kwargs))
+
+    @pytest.mark.parametrize("i", LARGE_INSTANCES)
+    def test_matches_reference_loop_at_n500(self, monkeypatch, i):
+        inst = loop_instance(i, n=LARGE_DIM)
+        cfg = replace(inst["cfg"], max_iters=min(inst["cfg"].max_iters, 25))
+        pg_args = (inst["op"], inst["set_"], cfg, inst["x0"])
+        halpern_args = (inst["op"], inst["set_"], inst["s_map"], cfg, inst["x0"])
+        halpern_kwargs = {"anchor": inst["anchor"], "x_ref": inst["x_ref"]}
+        lean = solve_projected_gradient(*pg_args, x_ref=inst["x_ref"])
+        assert lean.iterates.shape[1] == LARGE_DIM
+        assert_same_trace(
+            lean,
+            literal_solve(monkeypatch, solve_projected_gradient, *pg_args, x_ref=inst["x_ref"]))
+        assert_same_trace(
+            solve_halpern(*halpern_args, **halpern_kwargs),
+            literal_solve(monkeypatch, solve_halpern, *halpern_args, **halpern_kwargs))
+
+    def test_large_instances_cover_every_set_type(self):
+        set_types = {LOOP_VARIANTS[i % len(LOOP_VARIANTS)][0] for i in LARGE_INSTANCES}
+        assert set_types == set(SET_TYPES)
+        assert {i % 2 for i in LARGE_INSTANCES} == {0}  # every one supplies x_ref
 
     def test_instances_cover_every_variant(self):
         instances = [loop_instance(i) for i in range(LOOP_INSTANCES)]
@@ -732,3 +758,100 @@ class TestLoopErrors:
                            match=r"^vector has shape \(1, 2\), expected \(2,\)$"):
             solve_halpern(op, Box(lower=[-1.0, -1.0], upper=[1.0, 1.0]), Row(),
                           IterationConfig(step=1.0), [0.5, 0.5])
+
+
+class Constant(NonexpansiveMap):
+    """S(x) = v for every x: a user map that hands the loop any point, of any shape."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def apply(self, x):
+        return self.v
+
+
+FLOAT_EDGES = [math.nan, math.inf, -math.inf, 1.7976931348623157e308, -1.7976931348623157e308,
+               5e-324, -5e-324, 1.1125369292536007e-308, 0.0, -0.0]
+
+
+@st.composite
+def loop_points(draw):
+    """1-D or (1, n) arrays, n in 1..64, of any floats, float-range edges included."""
+    n = draw(st.integers(1, 64))
+    entries = draw(st.lists(st.one_of(st.sampled_from(FLOAT_EDGES), st.floats()),
+                            min_size=n, max_size=n))
+    v = np.array(entries)
+    return v.reshape(1, n) if draw(st.booleans()) else v
+
+
+class TestFinitenessCheck:
+    """The loop tests each point it makes for finiteness by counting finite
+    entries; that must agree with np.isfinite(v).all() on every array, warn on
+    none, and come before the shape test."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=loop_points())
+    def test_agrees_with_isfinite_all(self, v):
+        # a_0 = 2^-60 rounds 1 - a_0 to 1, so x_1 = a_0 * 0 + (1 - a_0) * v is v
+        n = v.shape[-1]
+        cfg = IterationConfig(step=1.0, max_iters=1,
+                              anchor_schedule=AnchorSchedule(rule="geometric", scale=2.0**-60))
+        args = (AffineOperator(matrix=np.eye(n), offset=np.zeros(n)),
+                Box(lower=-np.ones(n), upper=np.ones(n)), Constant(v), cfg, np.full(n, 0.5))
+        with np.errstate(over="ignore"):  # r_1 = |x_1 - P_C(0)| may pass the float range
+            if not np.isfinite(v).all():
+                with pytest.raises(DivergenceError) as excinfo:
+                    solve_halpern(*args, anchor=np.zeros(n))
+                assert excinfo.value.iteration == 1
+            elif v.ndim == 2:
+                with pytest.raises(DimensionMismatchError, match=r"^vector has shape \(1, "):
+                    solve_halpern(*args, anchor=np.zeros(n))
+            else:
+                trace = solve_halpern(*args, anchor=np.zeros(n))
+                assert trace.rows == 2 and np.array_equal(trace.final, v)
+
+    def test_finite_step_whose_square_overflows_warns_nothing(self, monkeypatch):
+        # y = x - (x + q) = (1e200, -1e200): finite, though y . y is past the float range
+        op = AffineOperator(matrix=np.eye(2), offset=[-1e200, 1e200])
+        square = Box(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        cfg = IterationConfig(step=1.0, max_iters=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pg = solve_projected_gradient(op, square, cfg, [0.0, 0.0], x_ref=[0.5, 0.5])
+            halpern = solve_halpern(op, square, Identity(), cfg, [0.0, 0.0], x_ref=[0.5, 0.5])
+        assert pg.status == solvers.CONVERGED and pg.final.tolist() == [1.0, -1.0]
+        assert halpern.rows == 51 and np.isfinite(halpern.iterates).all()
+        assert_same_trace(pg, literal_solve(monkeypatch, solve_projected_gradient, op, square,
+                                            cfg, [0.0, 0.0], x_ref=[0.5, 0.5]))
+        assert_same_trace(halpern, literal_solve(monkeypatch, solve_halpern, op, square,
+                                                 Identity(), cfg, [0.0, 0.0], x_ref=[0.5, 0.5]))
+
+    def test_step_holding_both_infinities(self, monkeypatch):
+        # 1.5 * 1.5e308 overflows, so y = x - 1.5 x = (-inf, +inf): its entries sum to NaN
+        op = AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])
+        wide = Box(lower=[-1.7e308, -1.7e308], upper=[1.7e308, 1.7e308])
+        cfg, x0 = IterationConfig(step=1.5), [1.5e308, -1.5e308]
+        for solve, extra in ((solve_projected_gradient, ()), (solve_halpern, (Identity(),))):
+            for run in (solve, lambda *a, solve=solve: literal_solve(monkeypatch, solve, *a)):
+                with warnings.catch_warnings(record=True) as record:
+                    warnings.simplefilter("always")
+                    with pytest.raises(ValidationError, match="^point has non-finite entries$"):
+                        run(op, wide, *extra, cfg, x0)
+                assert [str(w.message) for w in record] == ["overflow encountered in multiply"]
+
+    @pytest.mark.parametrize("n,point", [
+        (2, np.full((1, 2), np.nan)),
+        (1, np.array([np.inf, 0.0, 0.0])),
+        (1, np.full((2, 1), -np.inf)),
+    ], ids=["row", "long", "column"])
+    def test_wrong_shaped_non_finite_point_diverges(self, monkeypatch, n, point):
+        # finiteness is tested first: the shape test never sees this point
+        op = AffineOperator(matrix=np.eye(n), offset=np.zeros(n))
+        cfg = IterationConfig(step=1.0, anchor_schedule=AnchorSchedule(rule="geometric",
+                                                                       scale=0.5))
+        args = (op, Box(lower=-np.ones(n), upper=np.ones(n)), Constant(point), cfg,
+                np.full(n, 0.5))
+        for solve in (solve_halpern, lambda *a: literal_solve(monkeypatch, solve_halpern, *a)):
+            with pytest.raises(DivergenceError) as excinfo:
+                solve(*args)
+            assert excinfo.value.iteration == 1

@@ -29,7 +29,9 @@ from vikit.verification import (
 from oracles import (
     _compositions,
     diameter,
+    literal_extreme_nodes,
     literal_grid_vi,
+    literal_inner_min,
     literal_vi_gaps,
     random_monotone_operator,
     reference_check_forms,
@@ -306,6 +308,52 @@ def random_grid_cases(seed: int, count: int):
         else:
             set_, h = Simplex(n), 1.0 / int(rng.integers(3, 40 if n < 3 else 25))
         yield op, BruteForceGrid(set_=set_, h=h)
+
+
+def long_axis_cases():
+    """(operator, grid) pairs for the long-axis reductions: ``random_grid_cases``,
+    the cross-check's instances (integer ties, lo == hi axes), boxes with a
+    degenerate axis, unit boxes of dimension 1-3, and simplices of dimension 1-3."""
+    yield from random_grid_cases(seed=29, count=120)
+    for index, kind in enumerate(GRID_KINDS):
+        for seed in range(20):
+            yield _random_grid_instance(np.random.default_rng([index, seed]), kind)
+    rng = np.random.default_rng(31)
+    sets = [
+        (Box(lower=[0.0, -1.0, 2.0], upper=[1.0, 0.5, 2.0]), 0.3),
+        (Box(lower=[0.25, -1.0], upper=[0.25, 1.0]), 0.1),
+        (Box(lower=[1.5], upper=[1.5]), 0.5),
+        (Box(lower=[-3.0, 2.0, 0.0], upper=[-3.0, 2.0, 0.0]), 0.2),
+        *[(Box(lower=[0.0] * n, upper=[1.0] * n), h)
+          for n, h in [(1, 0.001), (2, 0.01), (3, 0.05)]],
+        *[(Simplex(n), 1.0 / k) for n in (1, 2, 3) for k in (1, 7, 100)],
+    ]
+    for set_, h in sets:
+        op = random_monotone_operator(rng, set_.dim)
+        yield op, BruteForceGrid(set_=set_, h=h)
+
+
+class TestLongAxisReductions:
+    """The oracle reduces along the long axis: its corner mask is built one
+    column at a time, and its inner minimum is min over the rows of
+    nodes @ a_vals.T.  Both give the row-wise references' bits."""
+
+    def test_same_nodes_and_bit_equal_inner_minima(self):
+        seen = set()
+        for op, grid in long_axis_cases():
+            pts = grid.points()
+            a_vals = pts @ op.matrix.T + op.offset
+            nodes, literal_nodes = _extreme_nodes(pts), literal_extreme_nodes(pts)
+            assert (nodes.shape, nodes.tobytes()) == (literal_nodes.shape, literal_nodes.tobytes())
+            inner_min = np.min(nodes @ a_vals.T, axis=0)  # as brute_force_vi takes it
+            assert inner_min.tobytes() == literal_inner_min(a_vals, nodes).tobytes()
+            gaps = literal_inner_min(a_vals, literal_nodes) - np.einsum("ij,ij->i", a_vals, pts)
+            assert np.array_equal(brute_force_vi(op, grid), pts[gaps >= -grid.vi_tolerance])
+            seen.add((type(grid.set_).__name__, op.dim))
+            if isinstance(grid.set_, Box) and np.any(grid.set_.lower == grid.set_.upper):
+                seen.add("lo == hi")
+        assert {(kind, n) for kind in ("Box", "Simplex") for n in (1, 2, 3)} <= seen
+        assert "lo == hi" in seen
 
 
 class TestSingletonCandidates:
