@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .errors import ConfigurationError, DivergenceError, ValidationError, VikitError
+from .errors import DivergenceError, ValidationError, VikitError
 from .geometry import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex
 from .operators import (PASS, PRECONDITION_VIOLATED, AffineOperator, VerificationReport,
                         certify_moduli, check_expansive, check_ism)
@@ -86,8 +86,7 @@ class Scenario:
     """A batch job: one operator/set instance plus the tasks to run on it.
 
     Construction checks each field's dimension, finiteness and range against
-    the operator and the tasks, so a malformed scenario fails before its first
-    task writes any output.
+    the operator and the tasks, so a malformed scenario fails before any task runs.
     """
 
     name: str
@@ -322,7 +321,8 @@ def write_trace_csv(path: Path, trace: IterationTrace, x_star=None) -> None:
     _atomic_write(path, "\n".join([*_csv_lines(trace, x_star), ""]))
 
 
-def _run_tasks(scenario: Scenario, out_dir: Path, records: dict, reports: list) -> None:
+def _run_tasks(scenario: Scenario, records: dict, reports: list, files: dict) -> None:
+    """Run the tasks in order; each adds its record, reports and CSV text, and none writes."""
     op, seed, set_, cfg = scenario.operator, scenario.seed, scenario.set_, scenario.config
 
     @functools.cache
@@ -364,7 +364,7 @@ def _run_tasks(scenario: Scenario, out_dir: Path, records: dict, reports: list) 
                           "final": trace.final.tolist(),
                           "final_residual": float(trace.natural_residuals[-1])}
             csv_name = f"{scenario.name}.{task}.trace.csv"
-            _atomic_write(out_dir / csv_name, "\n".join([*lines, ""]))
+            files[csv_name] = "\n".join([*lines, ""])
             records[task] = {**fields, "trace_csv": csv_name}
 
         elif task == "verify_lemma22":
@@ -422,6 +422,7 @@ def run_scenario(
     status = EXIT_OK
     records: dict = {}
     reports: list[VerificationReport] = []
+    files: dict[str, str] = {}
     error: str | None = None
     name = _stem_name(doc, path)  # the report's name, even if the scenario fails to parse
     try:
@@ -430,13 +431,10 @@ def run_scenario(
             scenario = replace(scenario, seed=seed)
         if max_iters is not None:
             scenario = replace(scenario, config=replace(scenario.config, max_iters=max_iters))
-        _run_tasks(scenario, out_dir, records, reports)
-    except DivergenceError as exc:
+        _run_tasks(scenario, records, reports, files)
+    except VikitError as exc:
         error = str(exc)
-        status = EXIT_DIVERGENCE
-    except (ConfigurationError, ValidationError) as exc:
-        error = str(exc)
-        status = EXIT_PRECONDITION
+        status = EXIT_DIVERGENCE if isinstance(exc, DivergenceError) else EXIT_PRECONDITION
 
     if status == EXIT_OK:
         if any(r.status == PRECONDITION_VIOLATED for r in reports):
@@ -452,7 +450,9 @@ def run_scenario(
         "tasks": records,
         "reports": [r.as_dict() for r in reports],
     }
-    _atomic_write(out_dir / f"{name}.reports.json", json.dumps(payload, indent=2) + "\n")
+    files[f"{name}.reports.json"] = json.dumps(payload, indent=2) + "\n"
+    for file_name, text in files.items():
+        _atomic_write(out_dir / file_name, text)
     return status
 
 

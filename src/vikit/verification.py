@@ -77,8 +77,7 @@ class BruteForceGrid:
                 lo + self.h * np.arange(steps + 1)
                 for lo, steps in zip(self.set_.lower, self._axis_steps())
             ]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            return np.stack([m.ravel() for m in mesh], axis=1)
+            return np.array(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1).T
         # Lattice counts summing to k: every head in {0..k}^(n-1), in
         # lexicographic order, with sum <= k, then the remainder k - sum.
         k, n = self._simplex_resolution(), self.set_.dim

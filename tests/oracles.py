@@ -6,7 +6,8 @@ eigendecomposition of M^T M (never np.linalg.svd, which the package uses), and
 VI solutions come from grid search over an objective, or from the literal
 all-pairs grid scan, rather than from the package's own corner-node oracle,
 whose corner mask and inner minimum also have row-wise references here;
-simplex grid points from a recursive generator of integer compositions.
+simplex grid points from a recursive generator of integer compositions,
+box grid points from a stack of raveled ``meshgrid`` axes.
 The solver loop and the trace CSV writer also have literal references here:
 a loop that re-checks every input through the public ``evaluate`` and
 ``project``, and a writer built on ``csv.writer``; so do the box, ball and
@@ -161,6 +162,15 @@ def _compositions(total: int, parts: int):
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def literal_grid_points(grid) -> np.ndarray:
+    """A box grid's points in lexicographic row order, as one C-ordered stack of
+    raveled ``meshgrid`` axes: the package's expression before it reshaped one
+    array of the axes."""
+    axes = [lo + grid.h * np.arange(steps + 1)
+            for lo, steps in zip(grid.set_.lower, grid._axis_steps())]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def diameter(points: np.ndarray) -> float:

@@ -1056,6 +1056,78 @@ def test_failed_atomic_write_propagates_and_leaves_no_temp_file(tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+class TestWritePolicy:
+    """run_scenario writes every file once the tasks have run or failed: each
+    solver task's trace CSV in task order, then reports.json."""
+
+    @staticmethod
+    def box_diag(tmp_path, tasks):
+        doc = json.loads(cli.golden_path("box_diag").read_text())
+        doc["tasks"] = tasks
+        path = tmp_path / "box_diag.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("tasks", [list(cli.TASKS), list(reversed(cli.TASKS))],
+                             ids=["listed", "reversed"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["ok", "halpern-diverges"])
+    def test_files_are_written_after_the_last_task_in_task_order(self, tmp_path, monkeypatch,
+                                                                 tasks, fails):
+        events = []
+        run_tasks, atomic_write = cli._run_tasks, cli._atomic_write
+
+        def logged_run_tasks(*args):
+            try:
+                run_tasks(*args)
+            finally:
+                events.append("tasks ended")
+
+        def logged_write(path, text):
+            events.append(path.name)
+            atomic_write(path, text)
+
+        def diverge(*args, **kwargs):
+            raise DivergenceError(3)
+
+        monkeypatch.setattr(cli, "_run_tasks", logged_run_tasks)
+        monkeypatch.setattr(cli, "_atomic_write", logged_write)
+        if fails:
+            monkeypatch.setattr(cli, "solve_halpern", diverge)
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(self.box_diag(tmp_path, tasks), out_dir) == (4 if fails else 0)
+        ran = tasks[: tasks.index("solve_halpern")] if fails else tasks
+        csvs = [f"box_diag.{task}.trace.csv" for task in ran if task in cli.SOLVER_TASKS]
+        assert events == ["tasks ended", *csvs, "box_diag.reports.json"]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(events[1:])
+        assert_outputs_named(out_dir, "box_diag")
+
+    def test_keyboard_interrupt_in_a_task_leaves_no_file(self, tmp_path, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "lemma_cocoercive_expansive", interrupt)
+        out_dir = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            cli.run_scenario(cli.golden_path("box_diag"), out_dir)
+        assert list(out_dir.iterdir()) == []
+
+    def test_failed_rename_propagates_and_keeps_the_files_before_it(self, tmp_path, monkeypatch):
+        replace, targets = os.replace, []
+
+        def second_fails(src, dst):
+            targets.append(Path(dst).name)
+            if len(targets) == 2:
+                raise OSError("rename failed")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", second_fails)
+        out_dir = tmp_path / "out"
+        with pytest.raises(OSError, match="rename failed"):
+            cli.run_scenario(cli.golden_path("box_diag"), out_dir)
+        assert targets == ["box_diag.solve_pg.trace.csv", "box_diag.solve_halpern.trace.csv"]
+        assert [p.name for p in out_dir.iterdir()] == ["box_diag.solve_pg.trace.csv"]
+
+
 SPECIAL_VALUES = [np.nan, np.inf, -0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0]
 
 

@@ -30,6 +30,7 @@ from oracles import (
     _compositions,
     diameter,
     literal_extreme_nodes,
+    literal_grid_points,
     literal_grid_vi,
     literal_inner_min,
     literal_vi_gaps,
@@ -74,6 +75,28 @@ class TestGrid:
         got = grid.points()
         assert got.dtype == literal.dtype and got.shape == literal.shape
         assert got.tobytes() == literal.tobytes()
+
+    @pytest.mark.parametrize("lower,upper,h", [
+        ([0.0], [1.0], 0.1),
+        ([-1.5], [-1.5], 0.3),
+        ([0.0, 0.0], [1.0, 1.0], 0.02),
+        ([-2.0, 0.5], [1.1, 0.5], 0.7),
+        ([0.0, -1.0, 2.0], [1.0, 1.0, 2.5], 0.25),
+        ([0.3, 0.3, -0.4], [0.3, 1.0, 0.9], 0.45),
+    ])
+    def test_box_points_match_the_stacked_axes(self, lower, upper, h):
+        grid = BruteForceGrid(set_=Box(lower=lower, upper=upper), h=h)
+        literal = literal_grid_points(grid)
+        got = grid.points()
+        assert got.dtype == literal.dtype and np.array_equal(got, literal)
+        assert got.shape == (grid.count(), len(lower))
+
+    def test_golden_box_points_match_the_stacked_axes(self, golden_oracle):
+        boxes = [entry["grid"] for entry in golden_oracle.values()
+                 if isinstance(entry["grid"].set_, Box)]
+        assert len(boxes) == 3
+        for grid in boxes:
+            assert np.array_equal(grid.points(), literal_grid_points(grid))
 
     def test_simplex_spacing_must_divide_one(self):
         with pytest.raises(ValidationError):
