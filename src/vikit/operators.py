@@ -98,6 +98,10 @@ class AffineOperator:
     def __call__(self, x) -> np.ndarray:
         return evaluate(self, x)
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Mx + q for a finite n-vector x, unchecked; for a stack x of row points, each row's."""
+        return self.matrix.dot(x) + self.offset if x.ndim == 1 else x @ self.matrix.T + self.offset
+
     @cached_property
     def moduli(self) -> OperatorModuli:
         """Exact moduli from the spectrum of M, computed on first access.
@@ -169,8 +173,8 @@ class OperatorModuli:
 
 
 def evaluate(op: AffineOperator, x) -> np.ndarray:
-    """Apply the operator: Mx + q."""
-    return op.matrix @ _point(x, op.dim, finite_what="input vector") + op.offset
+    """Apply the operator, checked: Mx + q for a finite n-vector x."""
+    return op.apply(_point(x, op.dim, finite_what="input vector"))
 
 
 def certify_moduli(op: AffineOperator) -> OperatorModuli:

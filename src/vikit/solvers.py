@@ -246,12 +246,12 @@ def _run(op, set_, cfg, x0, x_ref, advance) -> IterationTrace:
     # Each update is checked to be a finite vector of length n, so a step needs
     # to check only the point it projects.  BLAS and ufuncs are called directly, bit for
     # bit: sqrt(d.dot(d)) is np.linalg.norm(d), a finite count is np.isfinite(v).all().
-    m, q, step = op.matrix, op.offset, cfg.step
+    apply, step = op.apply, cfg.step
     iterates, residuals, op_residuals = [], [], []
     status = MAX_ITERS
     n = 0
     while True:
-        ax = m.dot(x) + q
+        ax = apply(x)
         y = x - step * ax
         if np.count_nonzero(np.isfinite(y)) != y.size:
             raise ValidationError("point has non-finite entries")

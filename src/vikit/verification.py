@@ -86,13 +86,13 @@ class BruteForceGrid:
         counts = np.column_stack([head, k - head.sum(axis=1)])
         return counts.astype(float) * self.h
 
-
-def _extreme_nodes(pts: np.ndarray) -> np.ndarray:
-    """Rows of ``pts`` whose every coordinate is the minimum or maximum of its axis."""
-    mask = np.ones(pts.shape[0], dtype=bool)
-    for col in pts.T.copy():
-        mask &= (col == col.min()) | (col == col.max())
-    return pts[mask]
+    def extreme_nodes(self) -> np.ndarray:
+        """Corner (box) or vertex (simplex) nodes, C-ordered rows in lexicographic order."""
+        if isinstance(self.set_, Simplex):  # k at one coordinate, 0 at the others, as in points()
+            return np.eye(self.set_.dim)[::-1] * (float(self._simplex_resolution()) * self.h)
+        ends = [np.unique(lo + self.h * np.array([0, steps]))  # one node if both ends are equal
+                for lo, steps in zip(self.set_.lower, self._axis_steps())]
+        return np.stack(np.meshgrid(*ends, indexing="ij"), axis=-1).reshape(-1, self.set_.dim)
 
 
 def brute_force_vi(op: AffineOperator, grid: BruteForceGrid) -> np.ndarray:
@@ -102,8 +102,8 @@ def brute_force_vi(op: AffineOperator, grid: BruteForceGrid) -> np.ndarray:
     """
     _check_inputs(op, grid.set_)
     pts = grid.points()
-    a_vals = pts @ op.matrix.T + op.offset
-    inner_min = np.min(_extreme_nodes(pts) @ a_vals.T, axis=0)  # (nodes, N): long rows
+    a_vals = op.apply(pts)
+    inner_min = np.min(grid.extreme_nodes() @ a_vals.T, axis=0)  # (nodes, N): long rows
     return pts[inner_min - np.einsum("ij,ij->i", a_vals, pts) >= -grid.vi_tolerance]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vikit.errors import DimensionMismatchError, ValidationError
+from vikit.geometry import Box
 from vikit.operators import (
     AffineOperator,
     certify_moduli,
@@ -13,7 +14,8 @@ from vikit.operators import (
     evaluate,
     sample_pairs,
 )
-from vikit.verification import lemma_cocoercive_expansive
+from vikit.solvers import Identity, IterationConfig, solve_halpern, solve_projected_gradient
+from vikit.verification import BruteForceGrid, brute_force_vi, lemma_cocoercive_expansive
 
 from oracles import (
     gram_spectral,
@@ -59,6 +61,56 @@ class TestEvaluate:
             DIAG([np.nan, 0.0])
         with pytest.raises(DimensionMismatchError, match=r"^vector has dimension 3, expected 2$"):
             DIAG([1.0, 2.0, 3.0])
+
+
+class TestApply:
+    """``apply`` is the one unchecked evaluation of A: for a point and for a
+    stack of row points, the expressions the solver loop and the grid oracle
+    inlined, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 500])
+    def test_bit_equal_to_the_inlined_expressions(self, n):
+        rng = np.random.default_rng(n)
+        m, q = rng.normal(size=(n, n)), rng.normal(size=n)
+        op = AffineOperator(matrix=m, offset=q)
+        x = rng.normal(size=n)
+        assert op.apply(x).tobytes() == (m.dot(x) + q).tobytes()
+        rows = rng.normal(size=(37, n))
+        for pts in (rows, np.asfortranarray(rows)):  # the box grid's points are column-major
+            assert op.apply(pts).tobytes() == (pts @ m.T + q).tobytes()
+
+    @pytest.mark.parametrize("evaluation", [DIAG, lambda x: evaluate(DIAG, x)],
+                             ids=["call", "evaluate"])
+    def test_checked_evaluation_refuses_what_apply_takes(self, evaluation):
+        for bad in NON_FINITE:
+            with pytest.raises(ValidationError, match="^input vector has non-finite entries$"):
+                evaluation([bad, 0.0])
+        with pytest.raises(DimensionMismatchError, match=r"^vector has dimension 3, expected 2$"):
+            evaluation([1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatchError, match=r"^vector has shape \(1, 2\), expected"):
+            evaluation([[1.0, 0.0]])
+
+    def test_every_evaluation_of_a_goes_through_apply(self, monkeypatch):
+        calls, apply = [], AffineOperator.apply
+
+        def counted(self, x):
+            calls.append(np.ndim(x))
+            return apply(self, x)
+
+        monkeypatch.setattr(AffineOperator, "apply", counted)
+        box = Box(lower=[0.0, 0.0], upper=[1.0, 1.0])
+        cfg = IterationConfig(step=0.3)  # DIAG: alpha = 1 / 4
+        for x_ref in (None, [1.0, 0.0]):
+            for solve in (lambda **kw: solve_projected_gradient(DIAG, box, cfg, [0.9, 0.9], **kw),
+                          lambda **kw: solve_halpern(DIAG, box, Identity(), cfg, [0.9, 0.9], **kw)):
+                calls.clear()
+                trace = solve(x_ref=x_ref)
+                assert calls == [1] * (trace.rows + (x_ref is not None))
+        calls.clear()
+        grid = BruteForceGrid(set_=box, h=0.1)
+        brute_force_vi(DIAG, grid)
+        brute_force_vi(DIAG, grid)
+        assert calls == [2, 2]
 
 
 class TestConstruction:

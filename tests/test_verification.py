@@ -20,7 +20,6 @@ from vikit.operators import (
 from vikit.solvers import IterationConfig, solve_projected_gradient
 from vikit.verification import (
     BruteForceGrid,
-    _extreme_nodes,
     brute_force_vi,
     check_singleton_vi,
     lemma_cocoercive_expansive,
@@ -246,7 +245,7 @@ class TestExtremeNodes:
             ]
             expected = np.array(list(itertools.product(*ends)))
             pts = grid.points()
-            corners = _extreme_nodes(pts)
+            corners = grid.extreme_nodes()
             assert np.array_equal(corners, expected)
             assert all(np.any(np.all(pts == row, axis=1)) for row in corners)
 
@@ -255,10 +254,41 @@ class TestExtremeNodes:
         for k in (1, 3, 10, 100):
             grid = BruteForceGrid(set_=Simplex(dim), h=1.0 / k)
             pts = grid.points()
-            vertices = _extreme_nodes(pts)
+            vertices = grid.extreme_nodes()
             expected = sorted(tuple(k * grid.h * np.eye(dim)[j]) for j in range(dim))
             assert np.array_equal(vertices, np.array(expected))
             assert all(np.any(np.all(pts == row, axis=1)) for row in vertices)
+
+    def test_equal_to_the_scan_of_every_node_without_building_the_grid(self, monkeypatch):
+        grids = [BruteForceGrid(set_=Box(lower=lo, upper=hi), h=h) for lo, hi, h in [
+            ([0.3], [0.3], 0.1),  # lo == hi
+            ([-1.0], [0.45], 0.2),  # h does not divide the side
+            ([0.0, 2.0], [1.0, 2.0], 0.3),
+            ([-0.0, -1.0], [0.5, 0.0], 0.5),  # -0.0 + 0.0 is +0.0 in both
+            ([-1.0, 0.5, 0.0], [0.7, 0.5, 1.3], 0.4),
+            ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 0.5),
+            ([0.1, 0.2, 0.3], [0.9, 1.4, 0.65], 0.07),
+        ]]
+        grids += [BruteForceGrid(set_=Simplex(n), h=1.0 / k) for n in (1, 2, 3) for k in (1, 3, 7)]
+        literals = [literal_extreme_nodes(grid.points()) for grid in grids]
+        monkeypatch.setattr(BruteForceGrid, "points", lambda self: pytest.fail("grid built"))
+        for grid, literal in zip(grids, literals):
+            nodes = grid.extreme_nodes()
+            assert nodes.flags.c_contiguous
+            assert (nodes.shape, nodes.tobytes()) == (literal.shape, literal.tobytes())
+
+    def test_nodes_rounded_onto_a_corner_leave_the_inner_minimum(self):
+        # |lo| >> h * steps: interior nodes round onto the axis's ends, so the
+        # scan returns them too; the grid's corners omit the repeats.
+        grid = BruteForceGrid(set_=Box(lower=[1e17, 0.0], upper=[1e17 + 64.0, 1.0]), h=0.5)
+        pts = grid.points()
+        nodes, scanned = grid.extreme_nodes(), literal_extreme_nodes(pts)
+        assert nodes.shape[0] == 4 < scanned.shape[0]
+        assert {tuple(row) for row in nodes} == {tuple(row) for row in scanned}
+        op = AffineOperator(matrix=[[2.0, 1.0], [-1.0, 3.0]], offset=[-1.0, 0.5])
+        a_vals = pts @ op.matrix.T + op.offset
+        assert (literal_inner_min(a_vals, nodes).tobytes()
+                == literal_inner_min(a_vals, scanned).tobytes())
 
 
 class TestSingletonCheck:
@@ -357,16 +387,16 @@ def long_axis_cases():
 
 
 class TestLongAxisReductions:
-    """The oracle reduces along the long axis: its corner mask is built one
-    column at a time, and its inner minimum is min over the rows of
-    nodes @ a_vals.T.  Both give the row-wise references' bits."""
+    """The oracle reduces along the long axis: it takes its corner nodes from
+    the grid, not from a mask over every row, and its inner minimum is min over
+    the rows of nodes @ a_vals.T.  Both give the row-wise references' bits."""
 
     def test_same_nodes_and_bit_equal_inner_minima(self):
         seen = set()
         for op, grid in long_axis_cases():
             pts = grid.points()
             a_vals = pts @ op.matrix.T + op.offset
-            nodes, literal_nodes = _extreme_nodes(pts), literal_extreme_nodes(pts)
+            nodes, literal_nodes = grid.extreme_nodes(), literal_extreme_nodes(pts)
             assert (nodes.shape, nodes.tobytes()) == (literal_nodes.shape, literal_nodes.tobytes())
             inner_min = np.min(nodes @ a_vals.T, axis=0)  # as brute_force_vi takes it
             assert inner_min.tobytes() == literal_inner_min(a_vals, nodes).tobytes()
