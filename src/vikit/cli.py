@@ -22,7 +22,7 @@ import numpy as np
 import orjson
 
 from .errors import DivergenceError, ValidationError, VikitError
-from .geometry import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex
+from .geometry import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex, _read_only
 from .operators import (PASS, PRECONDITION_VIOLATED, AffineOperator, VerificationReport,
                         certify_moduli, check_expansive, check_ism)
 from .operators import sample_pairs  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -131,7 +131,10 @@ class Scenario:
         if not isinstance(doc, dict):
             raise ValidationError("scenario must be a JSON object")
         try:
-            tasks = tuple(_field(doc, "tasks", "scenario"))
+            tasks = _field(doc, "tasks", "scenario")
+            if not isinstance(tasks, list):
+                raise ValidationError("scenario field 'tasks' must be an array of task names, "
+                                      f"got {json.dumps(tasks)[:40]}")
             operator = _field(doc, "operator", "scenario")
             set_ = _set(_field(doc, "set", "scenario"))
             config = _field(doc, "config", "scenario")
@@ -152,8 +155,8 @@ class Scenario:
                     max_iters=int(_number(config, "max_iters", "config", DEFAULT_MAX_ITERS)),
                     residual_tol=float(_number(config, "tol", "config", DEFAULT_RESIDUAL_TOL)),
                 ),
-                x0=np.asarray(_field(doc, "x0", "scenario"), dtype=float),
-                tasks=tasks,
+                x0=_read_only(_field(doc, "x0", "scenario")),
+                tasks=tuple(tasks),
                 seed=int(_number(config, "seed", "config", 0)),
                 map_s=_map(doc.get("map_s")),
                 x_star=_vector(doc.get("x_star")),
@@ -187,7 +190,7 @@ def _number(doc, key: str, where: str, default=None):
 
 
 def _vector(value) -> np.ndarray | None:
-    return None if value is None else np.asarray(value, dtype=float)
+    return None if value is None else _read_only(value)
 
 
 def _set(doc) -> ConvexSet:

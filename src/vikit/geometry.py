@@ -165,7 +165,7 @@ class Simplex(ConvexSet):
     def _ranks(self) -> np.ndarray:
         """1, ..., n, made on the first projection: a scenario's n is checked
         against the operator's dimension only after construction."""
-        return np.arange(1, self.n + 1)
+        return _read_only(np.arange(1, self.n + 1))
 
     def _project(self, x):
         # Sort-and-threshold; the >= keeps the largest feasible support on ties.

@@ -211,7 +211,7 @@ def pairwise_report(
     bad = np.nonzero(deficits > 0.0)[0]
     if bad.size:
         first = int(np.min(bad % k))
-        witness = (xs[first].copy(), ys[first].copy())
+        witness = (_read_only(xs[first]), _read_only(ys[first]))
         status = FAIL
     else:
         witness = None
@@ -277,7 +277,7 @@ def _check_forms(op: AffineOperator, name: str, forms) -> VerificationReport:
     witness = None
     if not max_violation <= 0.0:
         q = _form(op, *forms[worst])
-        witness = (np.linalg.eigh(q)[1][:, 0], np.zeros(op.dim))
+        witness = (_read_only(np.linalg.eigh(q)[1][:, 0]), _read_only(np.zeros(op.dim)))
     return VerificationReport(
         property=name,
         status=PASS if witness is None else FAIL,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Box, ConvexSet, Simplex
+from .geometry import Box, ConvexSet, Simplex, _read_only
 from .operators import (FAIL, PASS, PRECONDITION_VIOLATED, AffineOperator,
                         VerificationReport, _check_forms)
 from .operators import pairwise_report  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -136,7 +136,7 @@ def check_singleton_vi(
     return VerificationReport(
         property=f"singleton_vi(h={grid.h:g})",
         status=PASS if passed else FAIL,
-        witness=None if passed or empty else (solutions[i].copy(), solutions[j].copy()),
+        witness=None if passed or empty else (_read_only(solutions[i]), _read_only(solutions[j])),
         samples_used=int(grid.count()),
         max_violation=diameter - threshold,
         seed=seed,

@@ -9,9 +9,10 @@ whose corner mask and inner minimum also have row-wise references here;
 simplex grid points from a recursive generator of integer compositions,
 box grid points from a stack of raveled ``meshgrid`` axes.
 The solver loop and the trace CSV writer also have literal references here:
-a loop that re-checks every input through the public ``evaluate`` and
-``project``, and a writer built on ``csv.writer``; so do the box, ball and
-simplex projections, as bodies that go through numpy's function wrappers.
+a loop that re-checks every input, spells out A x = Mx + q itself and
+projects through the public ``project``, and a writer built on ``csv.writer``;
+so do the box, ball and simplex projections, as bodies that go through numpy's
+function wrappers.
 The pairwise checkers have a sampled counterpart: the ``sampled_*`` functions
 evaluate each inequality on explicit pairs (x, y), independent of the
 package's eigenvalue engine.  That engine has a literal reference too,
@@ -223,12 +224,21 @@ def random_monotone_operator(rng: np.random.Generator, dim: int):
 
 def literal_run(op, set_, cfg, x0, x_ref, advance):
     """Drop-in for ``vikit.solvers._run`` that checks every input of every
-    iteration: A x_n through ``evaluate`` and the projection through the
-    public ``project``, each with its own shape and finiteness checks."""
-    from vikit.errors import DivergenceError
+    iteration: A x_n as ``op.matrix @ x + op.offset``, independent of the
+    package's ``AffineOperator.apply``, and the projection through the public
+    ``project``, each with its own shape and finiteness checks."""
+    from vikit.errors import DimensionMismatchError, DivergenceError, ValidationError
     from vikit.geometry import project
-    from vikit.operators import evaluate
     from vikit.solvers import CONVERGED, MAX_ITERS, IterationTrace, _check_inputs, _check_step
+
+    def evaluate(op, x):
+        """Mx + q for x checked as ``vikit.operators.evaluate`` checks it."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (op.dim,):
+            raise DimensionMismatchError(op.dim, x.shape, what="vector")
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("input vector has non-finite entries")
+        return op.matrix @ x + op.offset
 
     gamma = _check_step(op, cfg)
     _check_inputs(op, set_, x0=x0)

@@ -787,6 +787,20 @@ class TestScenarioParsing:
         with pytest.raises(ValidationError):
             parse(config={"max_iters": 50})
 
+    @pytest.mark.parametrize("tasks,shown", [({"solve_pg": 1}, '{"solve_pg": 1}'),
+                                             ("solve_pg", '"solve_pg"')],
+                             ids=["object", "string"])
+    def test_tasks_must_be_an_array(self, tmp_path, tasks, shown):
+        # Read as an iterable, an object ran its keys and a string one task per character.
+        doc = json.loads(cli.golden_path("box_diag").read_text())
+        doc_path = tmp_path / "box_diag.json"
+        doc_path.write_text(json.dumps(dict(doc, tasks=tasks)))
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 3
+        assert [p.name for p in out_dir.iterdir()] == ["box_diag.reports.json"]
+        assert read_reports(out_dir, "box_diag")["error"] == (
+            f"scenario field 'tasks' must be an array of task names, got {shown}")
+
     def test_operator_field_names(self):
         op = parse(operator={"matrix": [[2.0, 0.0], [0.0, 1.0]], "offset": [-2.0, 1.0]}).operator
         np.testing.assert_array_equal(op.matrix, [[2.0, 0.0], [0.0, 1.0]])

@@ -503,6 +503,12 @@ def test_sample_pairs_is_seeded_and_bounded():
     assert not np.array_equal(xs1, sample_pairs(3, count=100, seed=6)[0])
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_sample_pairs_refuses_a_count_below_one(count):
+    with pytest.raises(ValidationError, match="^sample count must be positive$"):
+        sample_pairs(2, count)
+
+
 def test_gram_spectral_oracle_agrees_with_power_iteration():
     # sanity for the test oracles themselves
     rng = np.random.default_rng(1234)
