@@ -106,9 +106,11 @@ class Scenario:
     def __post_init__(self):
         if not _is_plain_stem(self.name):
             raise ValidationError(f"scenario name {self.name!r} is not a plain file stem")
-        for task in self.tasks:
+        for i, task in enumerate(self.tasks):
             if task not in TASKS:
                 raise ValidationError(f"unknown task '{task}'")
+            if task in self.tasks[:i]:
+                raise ValidationError(f"task '{task}' is listed more than once")
         if "compare_stopping" in self.tasks:
             if self.x_star is None:
                 raise ValidationError("task 'compare_stopping' requires field 'x_star'")

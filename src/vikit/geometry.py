@@ -47,14 +47,14 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-def _finite_vector(obj, name: str, what: str) -> np.ndarray:
-    """Store field ``name`` of the frozen ``obj`` as a read-only float vector,
-    or raise ValidationError "<what> must be a finite vector"."""
-    v = _read_only(getattr(obj, name))
-    if v.ndim != 1 or not np.all(np.isfinite(v)):
-        raise ValidationError(f"{what} must be a finite vector")
-    object.__setattr__(obj, name, v)
-    return v
+def _finite_array(obj, name: str, what: str, ndim: int = 1) -> np.ndarray:
+    """Store field ``name`` of the frozen ``obj`` as a read-only float array of ``ndim`` axes,
+    or raise ValidationError "<what> must be a finite vector" ("matrix" when ``ndim`` is 2)."""
+    a = _read_only(getattr(obj, name))
+    if a.ndim != ndim or not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} must be a finite {'vector' if ndim == 1 else 'matrix'}")
+    object.__setattr__(obj, name, a)
+    return a
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,12 @@ class Box(ConvexSet):
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = _read_only(self.lower)
-        hi = _read_only(self.upper)
-        if lo.ndim != 1 or lo.shape != hi.shape:
+        lo = _finite_array(self, "lower", "box lower")
+        hi = _finite_array(self, "upper", "box upper")
+        if lo.shape != hi.shape:
             raise ValidationError("box bounds must be vectors of equal length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValidationError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValidationError("box requires lower <= upper componentwise")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
 
     @property
     def dim(self) -> int:
@@ -92,7 +88,7 @@ class Ball(ConvexSet):
     radius: float
 
     def __post_init__(self):
-        _finite_vector(self, "center", "ball center")
+        _finite_array(self, "center", "ball center")
         if not (self.radius > 0.0 and np.isfinite(self.radius)):
             raise ValidationError("ball radius must be positive and finite")
         object.__setattr__(self, "radius", float(self.radius))
@@ -122,7 +118,7 @@ class Halfspace(ConvexSet):
     offset: float
 
     def __post_init__(self):
-        if not np.any(_finite_vector(self, "normal", "halfspace normal") != 0.0):
+        if not np.any(_finite_array(self, "normal", "halfspace normal") != 0.0):
             raise ValidationError("degenerate halfspace: zero normal")
         if not np.isfinite(self.offset):
             raise ValidationError("halfspace offset must be finite")
@@ -186,17 +182,14 @@ class AffineSubspace(ConvexSet):
     orthonormal_basis: np.ndarray
 
     def __post_init__(self):
-        b = _finite_vector(self, "basepoint", "basepoint")
-        basis = _read_only(self.orthonormal_basis)
-        if basis.ndim != 2 or basis.shape[1] != b.shape[0]:
+        b = _finite_array(self, "basepoint", "basepoint")
+        basis = _finite_array(self, "orthonormal_basis", "orthonormal basis", ndim=2)
+        if basis.shape[1] != b.shape[0]:
             raise ValidationError("basis vectors must match the basepoint dimension")
-        if not np.all(np.isfinite(basis)):
-            raise ValidationError("basis vectors must be finite")
         # More than n rows cannot be orthonormal; refuse them before the k x k Gram.
         k = basis.shape[0]
         if k > b.shape[0] or (k and np.max(np.abs(basis @ basis.T - np.eye(k))) > 1e-12):
             raise ValidationError("basis vectors must be pairwise orthonormal within 1e-12")
-        object.__setattr__(self, "orthonormal_basis", basis)
 
     @property
     def dim(self) -> int:

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .geometry import _point, _read_only
+from .geometry import _finite_array, _point, _read_only
 
 # Dimensionless slack of the quadratic-form checks: Q passes iff
 # lambda_min(Q) >= -RELATIVE_TOLERANCE * S, S the spectral scale of Q's terms
@@ -76,20 +76,14 @@ class AffineOperator:
     offset: np.ndarray
 
     def __post_init__(self):
-        m = _read_only(self.matrix)
-        q = _read_only(self.offset)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = _finite_array(self, "matrix", "operator matrix", ndim=2)
+        q = _finite_array(self, "offset", "operator offset")
+        if m.shape[0] != m.shape[1]:
             raise ValidationError(f"matrix must be square, got shape {m.shape}")
-        if q.ndim != 1:
-            raise ValidationError(f"offset must be a vector, got shape {q.shape}")
         if m.shape[0] != q.shape[0]:
             raise DimensionMismatchError(m.shape[0], q.shape[0], what="offset")
         if m.shape[0] < 1:
             raise ValidationError("operator dimension must be positive")
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(q))):
-            raise ValidationError("operator entries must be finite")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "offset", q)
 
     @property
     def dim(self) -> int:

@@ -26,7 +26,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, DivergenceError, ValidationError
-from .geometry import ConvexSet, _finite_vector, _point, _read_only
+from .geometry import ConvexSet, _finite_array, _point, _read_only
 from .geometry import project  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .operators import AffineOperator, certify_moduli, evaluate
 
@@ -178,7 +178,7 @@ class AffineAverage(NonexpansiveMap):
     def __post_init__(self):
         if not 0.0 <= self.t <= 1.0:
             raise ValidationError("averaging coefficient t must be in [0, 1]")
-        _finite_vector(self, "fixed_point", "fixed point")
+        _finite_array(self, "fixed_point", "fixed point")
 
     def apply(self, x):
         return (1.0 - self.t) * np.asarray(x, dtype=float) + self.t * self.fixed_point

@@ -801,6 +801,19 @@ class TestScenarioParsing:
         assert read_reports(out_dir, "box_diag")["error"] == (
             f"scenario field 'tasks' must be an array of task names, got {shown}")
 
+    @pytest.mark.parametrize("task", ["verify_lemma22", "solve_pg"])
+    def test_task_listed_twice_exits_3_before_any_task_runs(self, tmp_path, task):
+        # Listed twice, verify_lemma22 wrote one record but two reports and solve_pg solved twice.
+        doc = json.loads(cli.golden_path("box_diag").read_text())
+        doc_path = tmp_path / "box_diag.json"
+        doc_path.write_text(json.dumps(dict(doc, tasks=[task, task])))
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 3
+        assert [p.name for p in out_dir.iterdir()] == ["box_diag.reports.json"]
+        payload = read_reports(out_dir, "box_diag")
+        assert payload["tasks"] == {} and payload["reports"] == []
+        assert payload["error"] == f"task '{task}' is listed more than once"
+
     def test_operator_field_names(self):
         op = parse(operator={"matrix": [[2.0, 0.0], [0.0, 1.0]], "offset": [-2.0, 1.0]}).operator
         np.testing.assert_array_equal(op.matrix, [[2.0, 0.0], [0.0, 1.0]])

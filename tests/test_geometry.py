@@ -237,44 +237,59 @@ class TestProjectionBodies:
             assert u @ got <= b + 1e-12
 
 
-# Each class that stores a finite vector field, with the field's name in its
-# message: (make from a value, attribute, name).
-FINITE_VECTOR_FIELDS = [
-    (lambda v: Ball(center=v, radius=1.0), "center", "ball center"),
-    (lambda v: Halfspace(normal=v, offset=0.0), "normal", "halfspace normal"),
+# Each constructor array field, with the field's name in its message and its
+# number of axes: (make from a value, attribute, name, ndim).
+FINITE_ARRAY_FIELDS = [
+    (lambda v: Box(lower=v, upper=[9, 9]), "lower", "box lower", 1),
+    (lambda v: Box(lower=[0, 0], upper=v), "upper", "box upper", 1),
+    (lambda v: Ball(center=v, radius=1.0), "center", "ball center", 1),
+    (lambda v: Halfspace(normal=v, offset=0.0), "normal", "halfspace normal", 1),
     (lambda v: AffineSubspace(basepoint=v, orthonormal_basis=np.zeros((0, 2))),
-     "basepoint", "basepoint"),
-    (lambda v: AffineAverage(t=0.5, fixed_point=v), "fixed_point", "fixed point"),
+     "basepoint", "basepoint", 1),
+    (lambda v: AffineAverage(t=0.5, fixed_point=v), "fixed_point", "fixed point", 1),
+    (lambda v: AffineOperator(matrix=np.eye(2), offset=v), "offset", "operator offset", 1),
+    (lambda m: AffineOperator(matrix=m, offset=[0, 0]), "matrix", "operator matrix", 2),
+    (lambda m: AffineSubspace(basepoint=[0, 0], orthonormal_basis=m),
+     "orthonormal_basis", "orthonormal basis", 2),
 ]
 
 
-@pytest.mark.parametrize("make,attr,name", FINITE_VECTOR_FIELDS,
-                         ids=[f[1] for f in FINITE_VECTOR_FIELDS])
-class TestFiniteVectorFields:
-    @pytest.mark.parametrize("bad", [[[1.0, 2.0]], [np.nan, 1.0], [1.0, -np.inf], 1.0])
-    def test_message(self, make, attr, name, bad):
-        with pytest.raises(ValidationError, match=f"^{name} must be a finite vector$"):
-            make(bad)
+def _breaking(case: str, ndim: int):
+    """A value that breaks the array rule for a field of ``ndim`` axes."""
+    ones = np.ones((2,) * ndim)
+    if case in ("nan", "inf"):
+        ones.flat[-1] = np.nan if case == "nan" else -np.inf
+        return ones.tolist()
+    return ones[0].tolist() if case == "axis-too-few" else [ones.tolist()]
 
-    def test_stored_as_a_read_only_float_copy(self, make, attr, name):
-        source = np.array([1, 2])
-        stored = getattr(make(source), attr)
-        source[0] = 5
-        assert stored.dtype == float and stored.tolist() == [1.0, 2.0]
+
+@pytest.mark.parametrize("make,attr,name,ndim", FINITE_ARRAY_FIELDS,
+                         ids=[f[1] for f in FINITE_ARRAY_FIELDS])
+class TestFiniteArrayFields:
+    @pytest.mark.parametrize("case", ["nan", "inf", "axis-too-few", "axis-too-many"])
+    def test_message(self, make, attr, name, ndim, case):
+        kind = "vector" if ndim == 1 else "matrix"
+        with pytest.raises(ValidationError, match=f"^{name} must be a finite {kind}$"):
+            make(_breaking(case, ndim))
+
+    @pytest.mark.parametrize("dtype", [int, float])
+    def test_stored_as_a_read_only_float_copy(self, make, attr, name, ndim, dtype):
+        source = np.eye(2, dtype=dtype)  # a row of it is a view: a stored view would change below
+        stored = getattr(make(source if ndim == 2 else source[0]), attr)
+        before = stored.tolist()
+        source[...] = 7
+        assert stored.dtype == float and stored.tolist() == before
         assert not stored.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stored[...] = 0.0
 
 
 # Every other array a frozen object stores: (make from an int source, attribute).
 FROZEN_ARRAYS = [
-    (lambda a: Box(lower=a[0], upper=[9, 9]), "lower"),
-    (lambda a: Box(lower=[0, 0], upper=a[0]), "upper"),
-    (lambda a: AffineOperator(matrix=a, offset=[0, 0]), "matrix"),
-    (lambda a: AffineOperator(matrix=np.eye(2), offset=a[0]), "offset"),
-    (lambda a: AffineSubspace(basepoint=[0, 0], orthonormal_basis=a), "orthonormal_basis"),
-    *[(lambda a, name=name: IterationTrace(
+    (lambda a, name=name: IterationTrace(
         **{"iterates": a, "natural_residuals": a[0], "operator_residuals": a[0],
            "shortcut_bounds": a[0], name: a}, status="Converged", gamma=1.0), name)
-      for name in ("iterates", "natural_residuals", "operator_residuals", "shortcut_bounds")],
+    for name in ("iterates", "natural_residuals", "operator_residuals", "shortcut_bounds")
 ]
 
 
@@ -320,12 +335,12 @@ class TestValidation:
     @pytest.mark.parametrize("make,message", [
         (lambda: project(unit_box(), [np.nan, 0.5]), "point has non-finite entries"),
         (lambda: Box(lower=[0.0, 0.0], upper=[1.0]), "box bounds must be vectors of equal length"),
-        (lambda: Box(lower=[0.0, np.nan], upper=[1.0, 1.0]), "box bounds must be finite"),
+        (lambda: Box(lower=[0.0, np.nan], upper=[1.0, 1.0]), "box lower must be a finite vector"),
         (lambda: Halfspace(normal=[1.0, 0.0], offset=np.inf), "halfspace offset must be finite"),
         (lambda: AffineSubspace(basepoint=[0.0, 0.0], orthonormal_basis=[[1.0, 0.0, 0.0]]),
          "basis vectors must match the basepoint dimension"),
         (lambda: AffineSubspace(basepoint=[0.0, 0.0], orthonormal_basis=[[np.nan, 1.0]]),
-         "basis vectors must be finite"),
+         "orthonormal basis must be a finite matrix"),
     ], ids=["nan-point", "box-unequal-length", "box-nan-bound", "halfspace-inf-offset",
             "affine-basis-width", "affine-nan-basis"])
     def test_rejection_message(self, make, message):

@@ -127,7 +127,7 @@ class TestConstruction:
             AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("matrix,offset,message", [
-        (np.eye(2), [[0.0, 0.0]], r"offset must be a vector, got shape \(1, 2\)"),
+        (np.eye(2), [[0.0, 0.0]], "operator offset must be a finite vector"),
         (np.zeros((0, 0)), [], "operator dimension must be positive"),
     ], ids=["offset-not-a-vector", "empty-matrix"])
     def test_rejection_message(self, matrix, offset, message):
