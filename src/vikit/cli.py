@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -270,8 +271,9 @@ def _same_as_json(value, depth: int = 0) -> bool:
     if depth == _FAST_DEPTH:
         return False
     if value and type(value[0]) in (int, float):
-        with suppress(TypeError):  # a non-number follows: check item by item
-            return -_FAST_MAGNITUDE < min(value) and max(value) < _FAST_MAGNITUDE
+        with suppress(TypeError, OverflowError):  # a non-number follows: check item by item
+            return (math.hypot(*value) < _FAST_MAGNITUDE / 2  # hypot >= max|item|, to an ulp
+                    or -_FAST_MAGNITUDE < min(value) and max(value) < _FAST_MAGNITUDE)
     return all(_same_as_json(item, depth + 1) for item in value)
 
 
@@ -280,7 +282,8 @@ def _read_json(path: Path) -> tuple[object, str | None]:
     decodes where orjson refuses the file or its value might differ from json's."""
     try:
         data = path.read_bytes()
-        if data.count(b"[") + data.count(b"{") <= _FAST_BRACKETS:
+        raw = np.frombuffer(data, np.uint8)
+        if np.count_nonzero(raw == ord("[")) + np.count_nonzero(raw == ord("{")) <= _FAST_BRACKETS:
             with suppress(orjson.JSONDecodeError):
                 if _same_as_json(doc := orjson.loads(data)):
                     return doc, None

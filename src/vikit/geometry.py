@@ -183,6 +183,8 @@ class AffineSubspace(ConvexSet):
 
     def __post_init__(self):
         b = _finite_array(self, "basepoint", "basepoint")
+        if np.shape(self.orthonormal_basis) == (0,):  # no basis vector: the set is {basepoint}
+            object.__setattr__(self, "orthonormal_basis", np.zeros((0, b.shape[0])))
         basis = _finite_array(self, "orthonormal_basis", "orthonormal basis", ndim=2)
         if basis.shape[1] != b.shape[0]:
             raise ValidationError("basis vectors must match the basepoint dimension")

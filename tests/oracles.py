@@ -19,6 +19,8 @@ package's eigenvalue engine.  That engine has a literal reference too,
 ``reference_check_forms``, which forms every Q and calls eigvalsh on it; for a
 form in M^T M alone that is a route of its own, since the package reads M^T M's
 spectrum as the squared singular values of its SVD.
+The decoder's guard has one too: ``literal_same_as_json`` walks every number
+row with ``min`` and ``max``, where the package first tries one ``math.hypot``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import suppress
 
 import numpy as np
 
@@ -531,3 +534,21 @@ def reference_check_forms(op: AffineOperator, name: str, forms) -> VerificationR
         max_violation=max_violation,
         note=EXACT_NOTE,
     )
+
+
+# -- reference decoder guard ---------------------------------------------------
+# ``cli._same_as_json`` as it was before its one-hypot test of a number row.
+_FAST_DEPTH, _FAST_MAGNITUDE = 64, 2.0**63
+
+
+def literal_same_as_json(value, depth: int = 0) -> bool:
+    """True when orjson's decoded ``value`` is certainly what json would decode."""
+    value = list(value.values()) if isinstance(value, dict) else value
+    if not isinstance(value, list):
+        return not isinstance(value, (int, float)) or abs(value) < _FAST_MAGNITUDE
+    if depth == _FAST_DEPTH:
+        return False
+    if value and type(value[0]) in (int, float):
+        with suppress(TypeError):  # a non-number follows: check item by item
+            return -_FAST_MAGNITUDE < min(value) and max(value) < _FAST_MAGNITUDE
+    return all(literal_same_as_json(item, depth + 1) for item in value)

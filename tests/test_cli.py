@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from vikit.solvers import (
     solve_projected_gradient,
 )
 
-from oracles import assert_same_trace, literal_run, literal_trace_csv
+from oracles import assert_same_trace, literal_run, literal_same_as_json, literal_trace_csv
 
 BASE_SCENARIO = {
     "name": "unit",
@@ -918,6 +919,19 @@ def test_long_affine_basis_exits_3_under_an_address_space_limit(tmp_path):
         "basis vectors must be pairwise orthonormal within 1e-12")
 
 
+def test_empty_basis_scenario_solves_to_the_basepoint(tmp_path):
+    basepoint = [0.25, -0.5]
+    doc_path = write_scenario(
+        tmp_path, name="point", x_star=basepoint, tasks=["solve_pg"],
+        set={"type": "affine", "basepoint": basepoint, "orthonormal_basis": []})
+    out_dir = tmp_path / "out"
+    assert cli.run_scenario(doc_path, out_dir) == 0
+    with open(out_dir / "point.solve_pg.trace.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    assert float(rows[-1]["dist_n"]) == 0.0
+    assert read_reports(out_dir, "point")["tasks"]["solve_pg"]["status"] == "Converged"
+
+
 @pytest.mark.parametrize("kind", DEEP_FILES)
 def test_nesting_past_the_c_stack_exits_2_with_one_line(tmp_path, kind):
     bad = tmp_path / "deep.json"
@@ -1032,6 +1046,93 @@ def test_read_json_decodes_as_json_does(tmp_path, text):
     doc, reason = cli._read_json(path)
     assert reason is None
     assert_same_value(doc, json.loads(text))
+
+
+# The decoder guard's edges: magnitude 2**63 from both sides, the one-hypot bound
+# 2**62 and the float just below it, integers orjson reads as floats (2**64, and
+# anything past -2**63), and the non-numbers that can sit in a number row.
+_GUARD_NUMBERS = [0, 1, -1, True, False, 2**62, -(2**62), 2.0**62, -(2.0**62),
+                  2.0**62 * (1 - 2.0**-53), -(2.0**62 * (1 - 2.0**-53)), 2**63, -(2**63),
+                  2.0**63, -(2.0**63), 2**63 - 1, -(2**63) - 1, 2**64 - 1, 2**64, float(2**64),
+                  1e300, -1e300]
+_GUARD_ITEMS = [*_GUARD_NUMBERS, "s", "[{", None, []]
+
+
+def _guard_tree(rng: random.Random, depth: int = 0):
+    """A scalar, list or dict over _GUARD_ITEMS at most 3 deep; half the lists are
+    number rows, a fifth of which hold one other item."""
+    if depth == 3 or rng.random() < 0.3:
+        return rng.choice(_GUARD_ITEMS)
+    if rng.random() < 0.5:
+        items = rng.choices(_GUARD_NUMBERS, k=rng.randint(1, 6))
+        if rng.random() < 0.2:
+            items[rng.randrange(len(items))] = rng.choice(_GUARD_ITEMS)
+    else:
+        items = [_guard_tree(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return items if rng.random() < 0.7 else {f"k{i}": item for i, item in enumerate(items)}
+
+
+def _guard_texts(seed: int, count: int):
+    """JSON texts of _guard_tree values, some wrapped to nest past the 64-level bound."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        tree = _guard_tree(rng)
+        for _ in range(rng.choice([0, 0, 0, 61, 62, 63, 64, 65])):
+            tree = [tree] if rng.random() < 0.5 else {"k": tree}
+        yield json.dumps(tree)
+
+
+def test_fast_guard_answers_as_the_literal_guard():
+    answers = set()
+    for text in _guard_texts(seed=20, count=10_000):
+        value = orjson.loads(text)
+        answer = cli._same_as_json(value)
+        assert answer == literal_same_as_json(value), text
+        answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_read_json_on_guard_edges_decodes_as_json_does(tmp_path):
+    path = tmp_path / "doc.json"
+    for text in _guard_texts(seed=21, count=400):
+        path.write_text(text)
+        doc, reason = cli._read_json(path)
+        assert reason is None
+        assert_same_value(doc, json.loads(text))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this decoder must not run")
+
+
+@pytest.mark.parametrize("brackets,decoder", [(4096, "orjson"), (4097, "json")])
+@pytest.mark.parametrize("in_string", [False, True], ids=["structure", "string"])
+def test_bracket_count_picks_the_decoder(tmp_path, monkeypatch, brackets, decoder, in_string):
+    # every "[" and "{" byte counts, inside a string too
+    objects = brackets // 2
+    text = json.dumps(["{" * (brackets - 1)]) if in_string else (
+        "[" + ",".join(["{}"] * objects + ["[]"] * (brackets - objects - 1)) + "]")
+    assert text.count("[") + text.count("{") == brackets
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    want = json.loads(text)
+    monkeypatch.setattr(cli.json if decoder == "orjson" else cli.orjson, "loads", _refuse)
+    assert cli._read_json(path) == (want, None)
+
+
+def test_large_scenario_decodes_without_json(tmp_path, monkeypatch):
+    # a silent fall back to json would cost 0.13-0.21 s per large_n call
+    n, rng = 500, np.random.default_rng(500)
+    doc = dict(BASE_SCENARIO, name="large",
+               operator={"matrix": rng.standard_normal((n, n)).tolist(),
+                         "offset": rng.standard_normal(n).tolist()},
+               set={"type": "box", "lower": [-1.0] * n, "upper": [1.0] * n},
+               x0=[0.0] * n, x_star=rng.uniform(-1.0, 1.0, n).tolist())
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    want = json.loads(path.read_text())
+    monkeypatch.setattr(cli.json, "loads", _refuse)
+    assert cli._read_json(path) == (want, None)
 
 
 class TestMain:

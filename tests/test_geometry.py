@@ -88,6 +88,14 @@ class TestProjectExamples:
         point = AffineSubspace(basepoint=basepoint, orthonormal_basis=np.zeros((0, n)))
         np.testing.assert_array_equal(project(point, np.full(n, 5.0)), basepoint)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("empty", [[], np.zeros(0)], ids=["list", "array"])
+    def test_affine_subspace_reads_an_empty_basis_as_0_by_n(self, n, empty):
+        basepoint = np.linspace(-1.0, 1.0, n)
+        point = AffineSubspace(basepoint=basepoint, orthonormal_basis=empty)
+        assert point.orthonormal_basis.shape == (0, n)
+        np.testing.assert_array_equal(project(point, np.full(n, 5.0)), basepoint)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             project(unit_box(), [0.5, 0.5, 0.5])
@@ -339,10 +347,12 @@ class TestValidation:
         (lambda: Halfspace(normal=[1.0, 0.0], offset=np.inf), "halfspace offset must be finite"),
         (lambda: AffineSubspace(basepoint=[0.0, 0.0], orthonormal_basis=[[1.0, 0.0, 0.0]]),
          "basis vectors must match the basepoint dimension"),
+        (lambda: AffineSubspace(basepoint=[0.0, 0.0], orthonormal_basis=[[]]),
+         "basis vectors must match the basepoint dimension"),
         (lambda: AffineSubspace(basepoint=[0.0, 0.0], orthonormal_basis=[[np.nan, 1.0]]),
          "orthonormal basis must be a finite matrix"),
     ], ids=["nan-point", "box-unequal-length", "box-nan-bound", "halfspace-inf-offset",
-            "affine-basis-width", "affine-nan-basis"])
+            "affine-basis-width", "affine-empty-row", "affine-nan-basis"])
     def test_rejection_message(self, make, message):
         with pytest.raises(ValidationError, match=f"^{message}$") as excinfo:
             make()

@@ -9,7 +9,8 @@ bundled goldens (read from CHANGE_SRC), perfbench's ``golden``, ``small_n``
 and ``large_n`` files at seed 1, and a fixed list of probes: valid variants
 of every set and map type, every array field of ``operator``, ``set`` and
 ``map_s`` broken four ways (a NaN or 1e400 literal, which only the json
-decoder reads, one axis too few or too many), and a task listed twice.
+decoder reads, one axis too few or too many), a task listed twice, and one
+probe per edge of the decoder's guard (see ``_decoder_probes``).
 
 A run differs when its exit code, stdout, stderr (with each tree's path
 written as SRC), set of output files or any file's bytes differ.  Every
@@ -82,6 +83,41 @@ MIXED = {
 }
 
 
+# cli._read_json keeps orjson's value only for a file with at most 4096 "[" and "{",
+# nested at most 64 levels (the top-level object is one) and with no number of
+# magnitude 2**63 or more; json decodes the rest.  Matrix entries at the edges:
+MATRIX_EDGES = {"int-2pow63-minus-1": 2**63 - 1, "int-2pow63": 2**63, "int-2pow64": 2**64,
+                "float-2pow62": 2.0**62}
+
+
+def _nested(levels: int) -> list:
+    """A field value that makes a scenario file nest ``levels`` deep."""
+    value = [1.0]
+    for _ in range(levels - 2):
+        value = [value]
+    return value
+
+
+def _decoder_probes(box_diag: dict) -> dict[str, dict]:
+    """Probe name -> box_diag with one value at an edge of the decoder's guard."""
+    docs = {}
+    for label, value in MATRIX_EDGES.items():
+        doc = copy.deepcopy(box_diag)
+        doc["operator"]["matrix"][0][1] = value
+        docs[f"probe-matrix-{label}"] = doc
+    doc = copy.deepcopy(box_diag)
+    doc["config"]["seed"] = 2**64
+    docs["probe-seed-2pow64"] = doc
+    for levels in (64, 65):
+        docs[f"probe-unread-depth-{levels}"] = dict(copy.deepcopy(box_diag), notes=_nested(levels))
+    for brackets in (4096, 4097):
+        doc = dict(copy.deepcopy(box_diag), notes=[])
+        text = json.dumps(doc)  # the probe's name, set later, holds no bracket
+        doc["notes"] = [[] for _ in range(brackets - text.count("[") - text.count("{"))]
+        docs[f"probe-brackets-{brackets}"] = doc
+    return docs
+
+
 def _broken(value: list, case: str):
     """``value``, a vector or matrix the caller owns, broken as ``case`` says."""
     if case == "axis-too-few":
@@ -106,7 +142,7 @@ def _probes(box_diag: dict) -> dict[str, dict]:
                 parent = parent[key]
             parent[path[-1]] = _broken(parent[path[-1]], case)
             docs[f"probe-{'.'.join(path)}-{case}"] = doc
-    return docs
+    return docs | _decoder_probes(box_diag)
 
 
 def write_inputs(change_src: Path, directory: Path) -> list[Path]:
