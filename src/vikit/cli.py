@@ -271,9 +271,9 @@ def _same_as_json(value, depth: int = 0) -> bool:
     if depth == _FAST_DEPTH:
         return False
     if value and type(value[0]) in (int, float):
-        with suppress(TypeError, OverflowError):  # a non-number follows: check item by item
-            return (math.hypot(*value) < _FAST_MAGNITUDE / 2  # hypot >= max|item|, to an ulp
-                    or -_FAST_MAGNITUDE < min(value) and max(value) < _FAST_MAGNITUDE)
+        with suppress(TypeError, OverflowError):  # a non-number or a larger row: item by item
+            if math.hypot(*value) < _FAST_MAGNITUDE / 2:  # hypot >= max|item|, to an ulp
+                return True
     return all(_same_as_json(item, depth + 1) for item in value)
 
 

@@ -47,10 +47,13 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-def _finite_array(obj, name: str, what: str, ndim: int = 1) -> np.ndarray:
+def _finite_array(obj, name: str, what: str, ndim: int = 1, width: int | None = None) -> np.ndarray:
     """Store field ``name`` of the frozen ``obj`` as a read-only float array of ``ndim`` axes,
-    or raise ValidationError "<what> must be a finite vector" ("matrix" when ``ndim`` is 2)."""
+    or raise ValidationError "<what> must be a finite vector" ("matrix" when ``ndim`` is 2).
+    Given ``width``, an empty list reads as a matrix of no rows and ``width`` columns."""
     a = _read_only(getattr(obj, name))
+    if width is not None and a.shape == (0,):
+        a = _read_only(a.reshape(0, width))
     if a.ndim != ndim or not np.all(np.isfinite(a)):
         raise ValidationError(f"{what} must be a finite {'vector' if ndim == 1 else 'matrix'}")
     object.__setattr__(obj, name, a)
@@ -183,9 +186,7 @@ class AffineSubspace(ConvexSet):
 
     def __post_init__(self):
         b = _finite_array(self, "basepoint", "basepoint")
-        if np.shape(self.orthonormal_basis) == (0,):  # no basis vector: the set is {basepoint}
-            object.__setattr__(self, "orthonormal_basis", np.zeros((0, b.shape[0])))
-        basis = _finite_array(self, "orthonormal_basis", "orthonormal basis", ndim=2)
+        basis = _finite_array(self, "orthonormal_basis", "orthonormal basis", ndim=2, width=len(b))
         if basis.shape[1] != b.shape[0]:
             raise ValidationError("basis vectors must match the basepoint dimension")
         # More than n rows cannot be orthonormal; refuse them before the k x k Gram.

@@ -129,7 +129,9 @@ class TestConstruction:
     @pytest.mark.parametrize("matrix,offset,message", [
         (np.eye(2), [[0.0, 0.0]], "operator offset must be a finite vector"),
         (np.zeros((0, 0)), [], "operator dimension must be positive"),
-    ], ids=["offset-not-a-vector", "empty-matrix"])
+        # Only a basis reads [] as a matrix of no rows; a matrix [] has no axis to spare.
+        ([], [], "operator matrix must be a finite matrix"),
+    ], ids=["offset-not-a-vector", "empty-matrix", "empty-list-matrix"])
     def test_rejection_message(self, matrix, offset, message):
         with pytest.raises(ValidationError, match=f"^{message}$") as excinfo:
             AffineOperator(matrix=matrix, offset=offset)
