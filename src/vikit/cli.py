@@ -134,17 +134,14 @@ class Scenario:
         if not isinstance(doc, dict):
             raise ValidationError("scenario must be a JSON object")
         try:
-            tasks = _field(doc, "tasks", "scenario")
-            if not isinstance(tasks, list):
-                raise ValidationError("scenario field 'tasks' must be an array of task names, "
-                                      f"got {json.dumps(tasks)[:40]}")
+            tasks = _field(doc, "tasks", "scenario", list, "an array of task names")
             operator = _field(doc, "operator", "scenario")
             set_ = _set(_field(doc, "set", "scenario"))
             config = _field(doc, "config", "scenario")
             schedule = config.get("anchor_schedule")
             moduli = doc.get("moduli")
             return cls(
-                name=str(_field(doc, "name", "scenario")),
+                name=_field(doc, "name", "scenario", str, "a string"),
                 operator=AffineOperator(
                     matrix=_field(operator, "matrix", "operator spec"),
                     offset=_field(operator, "offset", "operator spec"),
@@ -173,12 +170,16 @@ class Scenario:
             raise ValidationError(f"mistyped scenario field: {exc}") from exc
 
 
-def _field(doc, key: str, where: str):
-    """``doc[key]``; a missing key raises ValidationError naming ``where``."""
+def _field(doc, key: str, where: str, of: type = object, kind: str = ""):
+    """``doc[key]``; a missing key, or a value not of type ``of`` (``kind`` in words),
+    raises ValidationError naming ``where``."""
     try:
-        return doc[key]
+        value = doc[key]
     except KeyError:
         raise ValidationError(f"{where} missing field '{key}'") from None
+    if not isinstance(value, of):
+        raise ValidationError(f"{where} field '{key}' must be {kind}, got {json.dumps(value)[:40]}")
+    return value
 
 
 def _number(doc, key: str, where: str, default=None):
@@ -220,7 +221,7 @@ def _grid(doc, set_: ConvexSet, tasks) -> BruteForceGrid | None:
 
 
 def _map(doc) -> NonexpansiveMap:
-    kind = "identity" if doc is None else doc.get("type")
+    kind = "identity" if doc is None else _field(doc, "type", "map_s spec")
     if kind == "identity":
         return Identity()
     if kind == "projection":
@@ -237,19 +238,19 @@ def _map(doc) -> NonexpansiveMap:
 _MAX_NAME_BYTES = 255 - max(len(f".{task}.trace.csvXXXXXXXX.tmp") for task in SOLVER_TASKS)
 
 
-def _is_plain_stem(name: str) -> bool:
-    """True iff output files named after ``name`` stay inside the output directory
-    and each of their names encodes to at most 255 bytes."""
+def _is_plain_stem(name) -> bool:
+    """True iff ``name`` is a string and output files named after it stay inside the
+    output directory and each of their names encodes to at most 255 bytes."""
     with suppress(UnicodeEncodeError):
-        return (len(os.fsencode(name)) <= _MAX_NAME_BYTES and name not in ("", ".", "..")
-                and not any(c in name for c in "/\\\0"))
+        return (isinstance(name, str) and len(os.fsencode(name)) <= _MAX_NAME_BYTES
+                and name not in ("", ".", "..") and not any(c in name for c in "/\\\0"))
     return False
 
 
 def _stem_name(doc, path: Path) -> str:
     """The decoded file's ``name`` when that is a plain stem, else the file's stem
     cut at a character boundary to at most _MAX_NAME_BYTES bytes."""
-    name = str(doc.get("name", path.stem)) if isinstance(doc, dict) else path.stem
+    name = doc.get("name") if isinstance(doc, dict) else None
     stem = path.stem
     while len(os.fsencode(stem)) > _MAX_NAME_BYTES:
         stem = stem[:-1]
@@ -334,80 +335,78 @@ def _run_tasks(scenario: Scenario, records: dict, reports: list, files: dict) ->
     op, seed, set_, cfg = scenario.operator, scenario.seed, scenario.set_, scenario.config
 
     @functools.cache
-    def oracle() -> np.ndarray:
-        """The VI solution set on the scenario's grid, computed on first use."""
-        return brute_force_vi(op, scenario.grid)
-
-    @functools.cache
-    def comparison():
-        """compare_stopping's record and trace CSV lines, made on first use."""
-        record = compare_stopping(op, set_, cfg, scenario.x0, scenario.x_star, scenario.delta)
-        return record, _csv_lines(record.trace, scenario.x_star)
-
-    def projected_gradient() -> tuple[IterationTrace, list[str]]:
-        """solve_pg's trace and CSV lines: with compare_stopping listed, the prefix
-        of its run of the same iteration past residual_tol, unless that run fails."""
+    def result(task: str):
+        """What ``task`` computes, made on first use: brute_force's grid solutions, or a solver
+        task's record or trace and CSV lines; solve_pg's is the prefix of compare_stopping's
+        run past residual_tol when that task is listed and its run succeeds."""
+        if task == "brute_force":
+            return brute_force_vi(op, scenario.grid)
+        if task == "compare_stopping":
+            record = compare_stopping(op, set_, cfg, scenario.x0, scenario.x_star, scenario.delta)
+            return record, _csv_lines(record.trace, scenario.x_star)
+        if task == "solve_halpern":
+            trace = solve_halpern(op, set_, scenario.map_s, cfg, scenario.x0,
+                                  anchor=scenario.anchor, x_ref=scenario.x_star)
+            return trace, _csv_lines(trace, scenario.x_star)
         if "compare_stopping" in scenario.tasks:
             with suppress(VikitError):  # then solve_pg's own solve decides
-                record, lines = comparison()
+                record, lines = result("compare_stopping")
                 trace = record.trace.until(cfg.residual_tol)
                 return trace, lines[: trace.rows + 1]
         trace = solve_projected_gradient(op, set_, cfg, scenario.x0, x_ref=scenario.x_star)
         return trace, _csv_lines(trace, scenario.x_star)
 
-    for task in scenario.tasks:
-        if task in SOLVER_TASKS:
-            if task == "compare_stopping":
-                record, lines = comparison()
-                fields = {k: getattr(record, k)
-                          for k in ("delta", "shortcut_iteration", "natural_iteration")}
-            else:
-                if task == "solve_pg":
-                    trace, lines = projected_gradient()
+    try:
+        for task in scenario.tasks:
+            if task in SOLVER_TASKS:
+                run, lines = result(task)
+                if task == "compare_stopping":
+                    fields = {k: getattr(run, k)
+                              for k in ("delta", "shortcut_iteration", "natural_iteration")}
                 else:
-                    trace = solve_halpern(op, set_, scenario.map_s, cfg, scenario.x0,
-                                          anchor=scenario.anchor, x_ref=scenario.x_star)
-                    lines = _csv_lines(trace, scenario.x_star)
-                fields = {"status": trace.status, "iterations": int(trace.rows - 1),
-                          "final": trace.final.tolist(),
-                          "final_residual": float(trace.natural_residuals[-1])}
-            csv_name = f"{scenario.name}.{task}.trace.csv"
-            files[csv_name] = "\n".join([*lines, ""])
-            records[task] = {**fields, "trace_csv": csv_name}
+                    fields = {"status": run.status, "iterations": int(run.rows - 1),
+                              "final": run.final.tolist(),
+                              "final_residual": float(run.natural_residuals[-1])}
+                csv_name = f"{scenario.name}.{task}.trace.csv"
+                files[csv_name] = "\n".join([*lines, ""])
+                records[task] = {**fields, "trace_csv": csv_name}
 
-        elif task == "verify_lemma22":
-            if scenario.moduli is None:
+            elif task == "verify_lemma22":
+                if scenario.moduli is None:
+                    certified = certify_moduli(op)
+                    m, v, eps = 0.0, certified.strong_monotonicity, certified.lipschitz
+                else:
+                    m, v, eps = scenario.moduli
+                report, gamma = lemma_cocoercive_expansive(op, m, v, eps)
+                reports.append(report)
+                records[task] = {"gamma": gamma if np.isfinite(gamma) else None,
+                                 "report": report.as_dict()}
+
+            elif task == "verify_lemma31":
                 certified = certify_moduli(op)
-                m, v, eps = 0.0, certified.strong_monotonicity, certified.lipschitz
-            else:
-                m, v, eps = scenario.moduli
-            report, gamma = lemma_cocoercive_expansive(op, m, v, eps)
-            reports.append(report)
-            records[task] = {"gamma": gamma if np.isfinite(gamma) else None,
-                             "report": report.as_dict()}
+                if certified.ism_alpha is None or certified.expansiveness <= 0.0:
+                    task_reports = [VerificationReport(
+                        property="ism_expansive_singleton",
+                        status=PRECONDITION_VIOLATED,
+                        seed=seed,
+                        note="operator lacks a certified ism modulus or is not expansive",
+                    )]
+                else:
+                    task_reports = [
+                        check_ism(op, certified.ism_alpha),
+                        check_expansive(op, certified.expansiveness),
+                    ]
+                    if scenario.grid is not None:
+                        task_reports.append(
+                            check_singleton_vi(result("brute_force"), scenario.grid, seed=seed))
+                reports.extend(task_reports)
+                records[task] = {"reports": [r.as_dict() for r in task_reports]}
 
-        elif task == "verify_lemma31":
-            certified = certify_moduli(op)
-            if certified.ism_alpha is None or certified.expansiveness <= 0.0:
-                task_reports = [VerificationReport(
-                    property="ism_expansive_singleton",
-                    status=PRECONDITION_VIOLATED,
-                    seed=seed,
-                    note="operator lacks a certified ism modulus or is not expansive",
-                )]
-            else:
-                task_reports = [
-                    check_ism(op, certified.ism_alpha),
-                    check_expansive(op, certified.expansiveness),
-                ]
-                if scenario.grid is not None:
-                    task_reports.append(check_singleton_vi(oracle(), scenario.grid, seed=seed))
-            reports.extend(task_reports)
-            records[task] = {"reports": [r.as_dict() for r in task_reports]}
-
-        elif task == "brute_force":
-            solutions = oracle()
-            records[task] = {"solutions": solutions.tolist(), "count": int(solutions.shape[0])}
+            elif task == "brute_force":
+                solutions = result(task)
+                records[task] = {"solutions": solutions.tolist(), "count": int(solutions.shape[0])}
+    finally:  # result refers to itself: break that cycle to free the scenario now, not at gc
+        del result
 
 
 def run_scenario(

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -6,6 +7,8 @@ import random
 import struct
 import subprocess
 import sys
+import weakref
+from contextlib import suppress
 from fractions import Fraction
 from pathlib import Path
 
@@ -407,6 +410,21 @@ class TestRunScenario:
         assert payload["exit_status"] == 3
         assert "plain file stem" in payload["error"]
 
+    @pytest.mark.parametrize("name,shown", [(None, "null"), (True, "true"), (7, "7"),
+                                            ([1], "[1]")], ids=["null", "true", "7", "list"])
+    def test_name_must_be_a_string(self, tmp_path, monkeypatch, name, shown):
+        # Passed through str(), each was a file stem: None.reports.json, True.*, 7.*, [1].*
+        doc_path = tmp_path / "scenario.json"
+        doc_path.write_text(json.dumps(dict(BASE_SCENARIO, name=name)))
+        out_dir = tmp_path / "out"
+        assert cli.run_scenario(doc_path, out_dir) == 3
+        assert [p.name for p in out_dir.iterdir()] == ["scenario.reports.json"]
+        payload = read_reports(out_dir, "scenario")
+        assert payload["scenario"] == "scenario"
+        assert payload["error"] == f"scenario field 'name' must be a string, got {shown}"
+        monkeypatch.setattr(cli, "golden_dir", lambda: tmp_path)
+        assert cli.list_golden() == [("scenario", "")]
+
     @pytest.mark.parametrize("name,fits", [
         ("a" * 216, True),
         ("\u00e9" * 108, True),
@@ -771,6 +789,8 @@ class TestScenarioParsing:
         assert isinstance(avg, AffineAverage)
         with pytest.raises(ValidationError):
             parse(map_s={"type": "reflector"})
+        with pytest.raises(ValidationError, match="^map_s spec missing field 'type'$"):
+            parse(map_s={})
 
     def test_anchor_schedule_keys_and_default(self):
         config = dict(BASE_SCENARIO["config"], anchor_schedule={"rule": "geometric", "ratio": 0.25})
@@ -1441,6 +1461,28 @@ class TestSharedTrajectory:
             assert written == ["cut.reports.json"]
             assert read_reports(out_dir, "cut")["tasks"] == {}
         assert_outputs_named(out_dir, "cut")
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["ok", "halpern-diverges"])
+def test_run_tasks_frees_the_scenario_without_the_garbage_collector(monkeypatch, fails):
+    # the shared results must go with the run: a reference cycle through them would
+    # keep the scenario and every trace until the next garbage collection
+    def diverge(*args, **kwargs):
+        raise DivergenceError(7)
+
+    if fails:
+        monkeypatch.setattr(cli, "solve_halpern", diverge)
+    scenario = cli.Scenario.from_dict(json.loads(cli.golden_path("box_diag").read_text()))
+    assert scenario.tasks[:2] == ("solve_pg", "solve_halpern")
+    freed = weakref.ref(scenario)
+    gc.disable()
+    try:
+        with suppress(DivergenceError):
+            cli._run_tasks(scenario, {}, [], {})
+        del scenario
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_full_scenario_takes_two_eigen_solves_and_one_svd(tmp_path, linalg_calls):

@@ -9,12 +9,14 @@ bundled goldens (read from CHANGE_SRC), perfbench's ``golden``, ``small_n``
 and ``large_n`` files at seed 1, and a fixed list of probes: valid variants
 of every set and map type, every array field of ``operator``, ``set`` and
 ``map_s`` broken four ways (a NaN or 1e400 literal, which only the json
-decoder reads, one axis too few or too many), a task listed twice, and one
-probe per edge of the decoder's guard (see ``_decoder_probes``).
+decoder reads, one axis too few or too many), a task listed twice, a
+``name`` that is not a string, a ``map_s`` without ``type``, and one probe
+per edge of the decoder's guard (see ``_decoder_probes``).
 
 A run differs when its exit code, stdout, stderr (with each tree's path
 written as SRC), set of output files or any file's bytes differ.  Every
-differing run is printed; the exit code is 1 if any run differs, else 0.
+differing run is printed, then each tree's ``vikit/*.py`` line count (as
+``wc -l`` counts); the exit code is 1 if any run differs, else 0.
 Needs the standard library and perfbench's numpy-only ``workloads.py``.
 """
 
@@ -80,6 +82,10 @@ MIXED = {
                    "set": {"type": "box", "lower": [0, 0], "upper": [1, 1]}},
     "tasks-verify_lemma22-twice": {"tasks": ["verify_lemma22", "verify_lemma22"]},
     "tasks-solve_pg-twice": {"tasks": ["solve_pg", "solve_pg"]},
+    "name-null": {"name": None},
+    "name-true": {"name": True},
+    "name-7": {"name": 7},
+    "map-no-type": {"map_s": {}},
 }
 
 
@@ -159,8 +165,9 @@ def write_inputs(change_src: Path, directory: Path) -> list[Path]:
                 inputs.append(Path(entry.path))
     (directory / "probes").mkdir()
     box_diag = json.loads((goldens / "box_diag.json").read_text())
+    del box_diag["name"]  # a probe is named after itself unless it sets a name
     for name, doc in _probes(box_diag).items():
-        doc["name"] = name
+        doc = {"name": name} | doc
         text = json.dumps(doc).replace(f'"{NAN}"', "NaN").replace(f'"{HUGE}"', "1e400")
         path = directory / "probes" / f"{name}.json"
         path.write_text(text)
@@ -232,6 +239,9 @@ def main(argv=None) -> int:
                     print(f"{path.parent.name}/{path.name} seed={seed}:", *lines, sep="\n")
     print(f"{differing} of {len(cases)} runs differ ({len(inputs)} inputs x "
           f"{len(SEED_OVERRIDES)} seed settings)")
+    for side, src in zip(("parent", "change"), trees):
+        lines = sum(path.read_bytes().count(b"\n") for path in (src / "vikit").glob("*.py"))
+        print(f"{side} {src}/vikit: {lines} lines")
     return 1 if differing else 0
 
 
