@@ -140,6 +140,8 @@ class Scenario:
             config = _field(doc, "config", "scenario")
             schedule = config.get("anchor_schedule")
             moduli = doc.get("moduli")
+            if doc.get("description") is not None:
+                _field(doc, "description", "scenario", str, "a string")
             return cls(
                 name=_field(doc, "name", "scenario", str, "a string"),
                 operator=AffineOperator(
@@ -475,10 +477,10 @@ def list_golden() -> list[tuple[str, str]]:
     """Names and descriptions of the bundled goldens, each read and named as by run."""
     entries = []
     for item in sorted(golden_dir().glob("*.json")):
-        doc, reason = _read_json(item)
-        unreadable = reason is not None or not isinstance(doc, dict)
-        entries.append((_stem_name(doc, item), "(unreadable scenario file)" if unreadable
-                        else str(doc.get("description", ""))))
+        doc = _read_json(item)[0]  # None for a file that run cannot read or decode
+        listed = isinstance(doc, dict) and isinstance(doc.get("description"), (str, type(None)))
+        entries.append((_stem_name(doc, item), (doc.get("description") or "") if listed
+                        else "(unreadable scenario file)"))
     return entries
 
 

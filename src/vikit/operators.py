@@ -53,18 +53,12 @@ class VerificationReport:
     note: str | None = None
 
     def as_dict(self) -> dict:
-        """JSON-ready form; field names are part of the external interface."""
-        witness = None
-        if self.witness is not None:
-            witness = [np.asarray(w, dtype=float).tolist() for w in self.witness]
-        return {
-            "property": self.property,
-            "status": self.status,
-            "witness": witness,
+        """JSON-ready form, in field order; field names are part of the external interface."""
+        return vars(self) | {
+            "witness": None if self.witness is None else [
+                np.asarray(w, dtype=float).tolist() for w in self.witness],
             "samples_used": int(self.samples_used),
             "max_violation": float(self.max_violation) if np.isfinite(self.max_violation) else None,
-            "seed": self.seed,
-            "note": self.note,
         }
 
 

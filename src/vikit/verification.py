@@ -108,10 +108,9 @@ def brute_force_vi(op: AffineOperator, grid: BruteForceGrid) -> np.ndarray:
 
 
 def _diameter(points: np.ndarray) -> tuple[float, int, int]:
-    """Max distance over every pair of ``points``, with its witness indices."""
-    sq = np.sum(points**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    i, j = np.unravel_index(np.argmax(d2), d2.shape)
+    """Max distance over every pair of ``points``, by row differences, with witness indices."""
+    diffs = points[:, None] - points[None]
+    i, j = np.unravel_index(np.argmax(np.sum(diffs * diffs, axis=-1)), diffs.shape[:2])
     return float(np.linalg.norm(points[i] - points[j])), int(i), int(j)
 
 
@@ -124,7 +123,8 @@ def check_singleton_vi(
     A true singleton's grid approximants occupy adjacent cells only, so the
     diameter threshold certifies uniqueness at resolution h.  A set no wider
     than that on any axis holds at most (floor(2 sqrt(n)) + 1)^n <= 64 grid
-    nodes, whose diameter is taken exactly; a wider set fails, judged on its 2n
+    nodes, whose diameter is taken exactly from their differences, so translating
+    the problem does not change the verdict; a wider set fails, judged on its 2n
     axis-extreme rows, so its max_violation is a lower bound.
     """
     empty = solutions.shape[0] == 0

@@ -235,6 +235,24 @@ class TestRunScenario:
         assert [(r["property"], r["status"]) for r in payload["reports"]] == [
             ("ism_expansive_singleton", "PreconditionViolated")]
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_singleton_verdict_does_not_move_with_the_box(self, tmp_path, offset):
+        # A = 1e-12 (x - c) on [offset, offset + 0.005]^2, c its centre: every node
+        # of the 6 x 6 grid solves the VI, so the singleton check fails at any offset
+        centre = offset + 0.0025
+        doc_path = write_scenario(
+            tmp_path, name="flat",
+            operator={"matrix": [[1e-12, 0.0], [0.0, 1e-12]], "offset": [-1e-12 * centre] * 2},
+            set={"type": "box", "lower": [offset] * 2, "upper": [offset + 0.005] * 2},
+            grid={"h": 1e-3, "vi_tolerance": 1e-9}, tasks=["brute_force", "verify_lemma31"])
+        assert cli.run_scenario(doc_path, tmp_path) == 1
+        payload = read_reports(tmp_path, "flat")
+        assert payload["tasks"]["brute_force"]["count"] == 36
+        singleton = payload["reports"][-1]
+        assert (singleton["property"], singleton["status"]) == ("singleton_vi(h=0.001)", "Fail")
+        assert singleton["max_violation"] == pytest.approx(0.003 * math.sqrt(2), abs=1e-6)
+        assert [r["status"] for r in payload["reports"][:-1]] == ["Pass", "Pass"]
+
     def test_overflowing_iterate_exits_4(self, tmp_path):
         # <normal, x> overflows at x0, which is inside, and at the finite gradient
         # step y = 0.8e308 (1, 1, 1), which is outside and projects to -inf
@@ -424,6 +442,26 @@ class TestRunScenario:
         assert payload["error"] == f"scenario field 'name' must be a string, got {shown}"
         monkeypatch.setattr(cli, "golden_dir", lambda: tmp_path)
         assert cli.list_golden() == [("scenario", "")]
+
+    @pytest.mark.parametrize("description,shown", [(7, "7"), ([1], "[1]"), ({}, "{}"),
+                                                   (0, "0"), (None, None)],
+                             ids=["7", "list", "object", "zero", "null"])
+    def test_description_must_be_a_string_or_null(self, tmp_path, monkeypatch,
+                                                  description, shown):
+        # list-golden never prints a Python repr; 0 is not listed as empty
+        doc_path = tmp_path / "scenario.json"
+        doc_path.write_text(json.dumps(dict(BASE_SCENARIO, description=description)))
+        out_dir = tmp_path / "out"
+        monkeypatch.setattr(cli, "golden_dir", lambda: tmp_path)
+        if description is None:
+            assert cli.run_scenario(doc_path, out_dir) == 0
+            assert cli.list_golden() == [("unit", "")]
+            return
+        assert cli.run_scenario(doc_path, out_dir) == 3
+        assert [p.name for p in out_dir.iterdir()] == ["unit.reports.json"]
+        error = read_reports(out_dir, "unit")["error"]
+        assert error == f"scenario field 'description' must be a string, got {shown}"
+        assert cli.list_golden() == [("unit", "(unreadable scenario file)")]
 
     @pytest.mark.parametrize("name,fits", [
         ("a" * 216, True),

@@ -443,6 +443,47 @@ class TestSingletonCandidates:
         assert verdicts == {"Pass", "Fail"}
 
 
+def exact_diameter(points: np.ndarray) -> float:
+    """Max distance over every pair, each from its own coordinate differences."""
+    return max(math.dist(a, b) for a, b in itertools.combinations(points.tolist(), 2))
+
+
+def translated_cluster(offset: float, h: float, side: int, dim: int) -> np.ndarray:
+    """The side^dim grid nodes offset + h * k, k in {0..side-1}^dim, as rows."""
+    ticks = offset + h * np.arange(side)
+    return np.stack(np.meshgrid(*[ticks] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+
+
+class TestSingletonUnderTranslation:
+    """Translating the solution set does not change the verdict: the diameter
+    comes from differences of rows (|a|^2 + |b|^2 - 2 a.b would cancel to 0
+    far from the origin)."""
+
+    @pytest.mark.parametrize("side,dim,h,offset", [
+        *[(4, 3, 0.01, offset) for offset in (0.0, 1e6, 1e8)],  # span 3h < 2h sqrt(3)
+        *[(6, 2, 1e-3, offset) for offset in (0.0, 1e6)],  # every node of [offset, offset + 5h]^2
+    ], ids=["cube-0", "cube-1e6", "cube-1e8", "square-0", "square-1e6"])
+    def test_verdict_is_the_one_at_the_origin(self, side, dim, h, offset):
+        def verdict(at):
+            grid = BruteForceGrid(set_=Box(lower=[at] * dim, upper=[at + 0.1] * dim), h=h)
+            return check_singleton_vi(translated_cluster(at, h, side, dim), grid)
+
+        threshold = 2.0 * h * math.sqrt(dim)
+        at_origin, report = verdict(0.0), verdict(offset)
+        exact = exact_diameter(translated_cluster(offset, h, side, dim))
+        assert exact == pytest.approx((side - 1) * h * math.sqrt(dim), abs=1e-6)
+        assert report.status == at_origin.status == "Fail"
+        assert report.max_violation == pytest.approx(at_origin.max_violation, abs=1e-6)
+        assert report.max_violation == pytest.approx(exact - threshold, abs=1e-12)
+
+    def test_diameter_of_a_far_cluster(self):
+        cluster = translated_cluster(1e8, 0.01, side=3, dim=2)
+        dist, i, j = verification._diameter(cluster)
+        assert dist == pytest.approx(0.02 * math.sqrt(2), abs=1e-8)
+        assert dist == pytest.approx(exact_diameter(cluster), abs=1e-15)
+        assert dist == math.dist(cluster[i], cluster[j])
+
+
 class TestLemmaCocoerciveExpansive:
     def test_derived_modulus(self):
         op = AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])

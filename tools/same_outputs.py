@@ -10,8 +10,9 @@ and ``large_n`` files at seed 1, and a fixed list of probes: valid variants
 of every set and map type, every array field of ``operator``, ``set`` and
 ``map_s`` broken four ways (a NaN or 1e400 literal, which only the json
 decoder reads, one axis too few or too many), a task listed twice, a
-``name`` that is not a string, a ``map_s`` without ``type``, and one probe
-per edge of the decoder's guard (see ``_decoder_probes``).
+``name`` that is not a string, a ``description`` of 7 or null, a ``map_s``
+without ``type``, a box far from the origin whose every grid node solves the
+VI, and one probe per edge of the decoder's guard (see ``_decoder_probes``).
 
 A run differs when its exit code, stdout, stderr (with each tree's path
 written as SRC), set of output files or any file's bytes differ.  Every
@@ -86,6 +87,14 @@ MIXED = {
     "name-true": {"name": True},
     "name-7": {"name": 7},
     "map-no-type": {"map_s": {}},
+    "description-7": {"description": 7},
+    "description-null": {"description": None},
+    # A = 1e-12 (x - c) on [1e6, 1e6 + 0.005]^2, c its centre: all 36 nodes solve the VI
+    "singleton-shift": {
+        "operator": {"matrix": [[1e-12, 0.0], [0.0, 1e-12]],
+                     "offset": [-1e-12 * (1e6 + 0.0025)] * 2},
+        "set": {"type": "box", "lower": [1e6, 1e6], "upper": [1e6 + 0.005, 1e6 + 0.005]},
+        "grid": {"h": 1e-3, "vi_tolerance": 1e-9}, "tasks": ["brute_force", "verify_lemma31"]},
 }
 
 
