@@ -16,7 +16,6 @@ from .geometry import (
     ConvexSet,
     Halfspace,
     Simplex,
-    contains,
     project,
 )
 from .operators import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -152,8 +153,10 @@ class Simplex(ConvexSet):
     n: int
 
     def __post_init__(self):
-        if int(self.n) < 1:
+        if self.n < 1:
             raise ValidationError("simplex dimension must be positive")
+        if not (isinstance(self.n, Integral) or float(self.n).is_integer()):
+            raise ValidationError(f"simplex dimension must be a whole number, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
 
     @property
@@ -207,11 +210,3 @@ class AffineSubspace(ConvexSet):
 def project(set_: ConvexSet, x) -> np.ndarray:
     """Nearest point of the set to x."""
     return set_.project(x)
-
-
-def contains(set_: ConvexSet, x, tol: float = 0.0) -> bool:
-    """True iff x lies within distance tol of the set."""
-    if tol < 0.0:
-        raise ValidationError("tolerance must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x - set_.project(x))) <= tol

@@ -21,7 +21,7 @@ import math
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -90,6 +90,8 @@ class IterationConfig:
             raise ConfigurationError("step must be positive")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, Integral) or float(self.max_iters).is_integer()):
+            raise ConfigurationError(f"max_iters must be a whole number, got {self.max_iters!r}")
         if not (np.isfinite(self.residual_tol) and self.residual_tol > 0.0):
             raise ConfigurationError("residual_tol must be positive")
 

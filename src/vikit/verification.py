@@ -55,8 +55,11 @@ class BruteForceGrid:
             )
 
     def _axis_steps(self) -> list[int]:
-        box = self.set_
-        return [int(math.floor((hi - lo) / self.h + 1e-9)) for lo, hi in zip(box.lower, box.upper)]
+        """floor((hi - lo) / h) per box axis, or the whole number k when (hi - lo) / h lies
+        within 4 ulp(max(|lo|, |hi|)) / h of k, so translating a box keeps its nodes."""
+        widths = [((hi - lo) / self.h, 4 * math.ulp(max(abs(lo), abs(hi))) / self.h)
+                  for lo, hi in zip(self.set_.lower.tolist(), self.set_.upper.tolist())]
+        return [round(w) if abs(w - round(w)) <= slack else math.floor(w) for w, slack in widths]
 
     def _simplex_resolution(self) -> int:
         k = 1.0 / self.h

@@ -21,6 +21,8 @@ form in M^T M alone that is a route of its own, since the package reads M^T M's
 spectrum as the squared singular values of its SVD.
 The decoder's guard has one too: ``literal_same_as_json`` walks every number
 row with ``min`` and ``max``, where the package first tries one ``math.hypot``.
+``contains``, the membership test the tests use, lives here: the package itself
+never asks whether a point is in a set.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from contextlib import suppress
 import numpy as np
 
 from vikit.errors import DimensionMismatchError, ValidationError
+from vikit.geometry import ConvexSet
 from vikit.operators import (
     EXACT_NOTE,
     FAIL,
@@ -171,10 +174,22 @@ def _compositions(total: int, parts: int):
 def literal_grid_points(grid) -> np.ndarray:
     """A box grid's points in lexicographic row order, as one C-ordered stack of
     raveled ``meshgrid`` axes: the package's expression before it reshaped one
-    array of the axes."""
-    axes = [lo + grid.h * np.arange(steps + 1)
-            for lo, steps in zip(grid.set_.lower, grid._axis_steps())]
+    array of the axes.  Each axis holds the nodes lo + i h for every i >= 0 with
+    lo + i h <= hi + 4 ulp(max(|lo|, |hi|)), found node by node, not from the
+    package's step count."""
+    axes = []
+    for lo, hi in zip(grid.set_.lower.tolist(), grid.set_.upper.tolist()):
+        nodes = lo + grid.h * np.arange(int((hi - lo) / grid.h) + 2)
+        axes.append(nodes[nodes <= hi + 4 * math.ulp(max(abs(lo), abs(hi)))])
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def contains(set_: ConvexSet, x, tol: float = 0.0) -> bool:
+    """True iff x lies within distance tol of the set."""
+    if tol < 0.0:
+        raise ValidationError("tolerance must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    return float(np.linalg.norm(x - set_.project(x))) <= tol
 
 
 def diameter(points: np.ndarray) -> float:

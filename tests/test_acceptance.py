@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from vikit import cli
-from vikit.geometry import AffineSubspace, Ball, Box, Halfspace, Simplex, contains, project
+from vikit.geometry import AffineSubspace, Ball, Box, Halfspace, Simplex, project
 from vikit.operators import AffineOperator, certify_moduli, sample_pairs
 from vikit.solvers import (
     Identity,
@@ -25,6 +25,7 @@ from vikit.solvers import (
 from vikit.verification import BruteForceGrid, brute_force_vi, lemma_cocoercive_expansive
 
 from oracles import (
+    contains,
     diameter,
     gram_spectral,
     random_monotone_operator,

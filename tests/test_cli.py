@@ -253,6 +253,25 @@ class TestRunScenario:
         assert singleton["max_violation"] == pytest.approx(0.003 * math.sqrt(2), abs=1e-6)
         assert [r["status"] for r in payload["reports"][:-1]] == ["Pass", "Pass"]
 
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    def test_grid_keeps_the_upper_face_of_a_translated_box(self, tmp_path, offset):
+        # A(x) ~ (-1, -1) on [c + 0.3, c + 0.3 + 0.35] x [0.3, 0.65] at h = 0.05: the
+        # solution is the upper corner u, which is a node only if both axes keep 8 nodes
+        lower = [offset + 0.3, 0.3]
+        upper = [lower[0] + 0.35, 0.65]
+        doc_path = write_scenario(
+            tmp_path, name="far",
+            operator={"matrix": [[1e-12, 0.0], [0.0, 1e-12]],
+                      "offset": [-1.0 - 1e-12 * upper[0], -1.0 - 1e-12 * upper[1]]},
+            set={"type": "box", "lower": lower, "upper": upper},
+            grid={"h": 0.05, "vi_tolerance": 1e-9}, tasks=["brute_force", "verify_lemma31"])
+        assert cli.run_scenario(doc_path, tmp_path) == 0
+        payload = read_reports(tmp_path, "far")
+        (solution,) = payload["tasks"]["brute_force"]["solutions"]
+        assert np.all(np.abs(np.subtract(solution, upper)) <= 4 * math.ulp(1e8))
+        singleton = payload["reports"][-1]
+        assert (singleton["property"], singleton["samples_used"]) == ("singleton_vi(h=0.05)", 64)
+
     def test_overflowing_iterate_exits_4(self, tmp_path):
         # <normal, x> overflows at x0, which is inside, and at the finite gradient
         # step y = 0.8e308 (1, 1, 1), which is outside and projects to -inf

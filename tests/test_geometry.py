@@ -12,13 +12,13 @@ from vikit.geometry import (
     Box,
     Halfspace,
     Simplex,
-    contains,
     project,
 )
 from vikit.operators import AffineOperator
 from vikit.solvers import AffineAverage, IterationTrace
 
 from oracles import (
+    contains,
     literal_ball_project,
     literal_box_project,
     literal_simplex_project,
@@ -370,9 +370,20 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Halfspace(normal=[0.0, 0.0], offset=1.0)
 
-    def test_simplex_dimension_positive(self):
-        with pytest.raises(ValidationError):
-            Simplex(0)
+    @pytest.mark.parametrize("n,message", [
+        *[(n, "simplex dimension must be positive") for n in (0, 0.5, -1, -np.inf)],
+        *[(n, f"simplex dimension must be a whole number, got {n!r}")
+          for n in (2.5, 1.9, np.nan, np.inf)],
+    ])
+    def test_simplex_dimension_positive(self, n, message):
+        with pytest.raises(ValidationError) as info:
+            Simplex(n)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n", [2, 2.0, np.int64(2), np.float64(2.0)])
+    def test_simplex_dimension_accepts_whole_numbers(self, n):
+        simplex = Simplex(n)
+        assert type(simplex.n) is int and simplex.n == 2
 
     def test_affine_basis_must_be_orthonormal(self):
         with pytest.raises(ValidationError):

@@ -18,7 +18,7 @@ from vikit.errors import (
     DivergenceError,
     ValidationError,
 )
-from vikit.geometry import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex, contains
+from vikit.geometry import AffineSubspace, Ball, Box, ConvexSet, Halfspace, Simplex
 from vikit.operators import AffineOperator, certify_moduli, evaluate
 from vikit.solvers import (
     AffineAverage,
@@ -38,6 +38,7 @@ from vikit.solvers import (
 from oracles import (
     assert_same_trace,
     box_quadratic_grid_argmin,
+    contains,
     literal_projection_apply,
     literal_run,
     random_monotone_operator,
@@ -113,6 +114,23 @@ class TestIterationConfig:
             IterationConfig(step=0.5, max_iters=0)
         with pytest.raises(ConfigurationError):
             IterationConfig(step=0.5, residual_tol=0.0)
+
+    @pytest.mark.parametrize("max_iters,message", [
+        *[(n, "max_iters must be >= 1") for n in (0, 0.5, -1, -math.inf)],
+        # with nan the loop's n >= max_iters never holds, so a solve would not end
+        *[(n, f"max_iters must be a whole number, got {n!r}")
+          for n in (2.5, 1.9, math.nan, math.inf)],
+    ])
+    def test_max_iters_must_be_a_whole_number_of_at_least_one(self, max_iters, message):
+        with pytest.raises(ConfigurationError) as info:
+            IterationConfig(step=0.5, max_iters=max_iters)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("max_iters", [2, 2.0, np.int64(2)])
+    def test_max_iters_accepts_whole_numbers(self, max_iters):
+        cfg = IterationConfig(step=0.5, max_iters=max_iters, residual_tol=1e-300)
+        trace = solve_halpern(shifted_identity([0.5, 0.5]), UNIT_BOX, Identity(), cfg, [0.0, 0.0])
+        assert (trace.status, trace.rows) == ("MaxIters", 3)
 
 
 class TestProjectedGradient:

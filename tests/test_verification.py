@@ -46,6 +46,8 @@ IDENTITY_OP = AffineOperator(matrix=np.eye(2), offset=[-0.5, -0.5])
 DIAG_OP = AffineOperator(matrix=[[2.0, 0.0], [0.0, 1.0]], offset=[-2.0, 1.0])
 ZERO_OP = AffineOperator(matrix=np.zeros((2, 2)), offset=[0.0, 0.0])
 NON_FINITE = [math.nan, math.inf, -math.inf]
+# Offsets of a translated box; float spacing at 1e10 is ~1.9e-6.
+FAR_OFFSETS = [0.0, 1e4, 1e6, 1e7, 1e8, 1e10]
 
 
 class TestGrid:
@@ -82,6 +84,7 @@ class TestGrid:
         ([-2.0, 0.5], [1.1, 0.5], 0.7),
         ([0.0, -1.0, 2.0], [1.0, 1.0, 2.5], 0.25),
         ([0.3, 0.3, -0.4], [0.3, 1.0, 0.9], 0.45),
+        *[([c + 0.3], [c + 0.3 + 0.35], 0.05) for c in FAR_OFFSETS],
     ])
     def test_box_points_match_the_stacked_axes(self, lower, upper, h):
         grid = BruteForceGrid(set_=Box(lower=lower, upper=upper), h=h)
@@ -89,6 +92,17 @@ class TestGrid:
         got = grid.points()
         assert got.dtype == literal.dtype and np.array_equal(got, literal)
         assert got.shape == (grid.count(), len(lower))
+
+    @pytest.mark.parametrize("lower,upper,h,count", [
+        # a width of 7 steps at every offset, however lo and hi round there
+        *[([c + 0.3], [c + 0.3 + 0.35], 0.05, 8) for c in FAR_OFFSETS],
+        # the unit square: floor(1 / h) + 1 nodes per axis, 1 / 0.3 and 1 / 0.001 included
+        *[([0.0, 0.0], [1.0, 1.0], h, count) for h, count in [
+            (0.01, 101**2), (0.02, 51**2), (0.05, 21**2), (0.1, 11**2), (0.25, 5**2),
+            (1.0 / 3.0, 4**2), (0.3, 4**2), (0.001, 1001**2)]],
+    ])
+    def test_box_node_count(self, lower, upper, h, count):
+        assert BruteForceGrid(set_=Box(lower=lower, upper=upper), h=h).count() == count
 
     def test_golden_box_points_match_the_stacked_axes(self, golden_oracle):
         boxes = [entry["grid"] for entry in golden_oracle.values()

@@ -12,7 +12,8 @@ of every set and map type, every array field of ``operator``, ``set`` and
 decoder reads, one axis too few or too many), a task listed twice, a
 ``name`` that is not a string, a ``description`` of 7 or null, a ``map_s``
 without ``type``, a box far from the origin whose every grid node solves the
-VI, and one probe per edge of the decoder's guard (see ``_decoder_probes``).
+VI, one far from the origin whose solution is its grid's upper corner, and one
+probe per edge of the decoder's guard (see ``_decoder_probes``).
 
 A run differs when its exit code, stdout, stderr (with each tree's path
 written as SRC), set of output files or any file's bytes differ.  Every
@@ -95,6 +96,13 @@ MIXED = {
                      "offset": [-1e-12 * (1e6 + 0.0025)] * 2},
         "set": {"type": "box", "lower": [1e6, 1e6], "upper": [1e6 + 0.005, 1e6 + 0.005]},
         "grid": {"h": 1e-3, "vi_tolerance": 1e-9}, "tasks": ["brute_force", "verify_lemma31"]},
+    # A ~ (-1, -1) on [1e8 + 0.3, 1e8 + 0.3 + 0.35] x [0.3, 0.65] at h = 0.05: the solution
+    # is the upper corner, a node only if the far axis keeps all 8 of its nodes
+    "grid-far-box": {
+        "operator": {"matrix": [[1e-12, 0.0], [0.0, 1e-12]],
+                     "offset": [-1.0 - 1e-12 * (1e8 + 0.3 + 0.35), -1.0 - 1e-12 * 0.65]},
+        "set": {"type": "box", "lower": [1e8 + 0.3, 0.3], "upper": [1e8 + 0.3 + 0.35, 0.65]},
+        "grid": {"h": 0.05, "vi_tolerance": 1e-9}, "tasks": ["brute_force", "verify_lemma31"]},
 }
 
 
