@@ -41,6 +41,7 @@ from .solvers import (
     _check_delta,
     _check_inputs,
     _check_step,
+    _reference_image,
     compare_stopping,
     solve_halpern,
     solve_projected_gradient,
@@ -124,6 +125,8 @@ class Scenario:
             _check_lemma22_constants(*self.moduli)
         _check_inputs(self.operator, self.set_, self.map_s,
                       x0=self.x0, x_star=self.x_star, anchor=self.anchor)
+        if self.x_star is not None:
+            _reference_image(self.operator, self.x_star, "x_star")
         if any(task in SOLVER_TASKS for task in self.tasks):
             _check_step(self.operator, self.config)
 

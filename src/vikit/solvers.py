@@ -236,13 +236,22 @@ def _check_inputs(op: AffineOperator, set_: ConvexSet, s_map=None, **vectors) ->
             _point(vector, op.dim, what)
 
 
+def _reference_image(op: AffineOperator, x, what: str) -> np.ndarray:
+    """A x for the reference point ``x`` (the field ``what``), which must be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ax = evaluate(op, x)
+    if not np.isfinite(ax).all():
+        raise ValidationError(f"the operator's image of {what} has non-finite entries")
+    return ax
+
+
 def _run(op, set_, cfg, x0, x_ref, advance) -> IterationTrace:
     gamma = _check_step(op, cfg)
     _check_inputs(op, set_, x0=x0)
     # Iterates live in C: the operator's domain.  x0, checked just above, is projected
     # unchecked; that also makes the membership postcondition independent of residual_tol.
     x = set_._project(np.asarray(x0, dtype=float))
-    a_ref = None if x_ref is None else evaluate(op, x_ref)
+    a_ref = None if x_ref is None else _reference_image(op, x_ref, "x_ref")
     if not np.isfinite(x).all():
         raise ValidationError("input vector has non-finite entries")
     # Each update is checked to be a finite vector of length n, so a step needs

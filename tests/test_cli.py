@@ -7,6 +7,7 @@ import random
 import struct
 import subprocess
 import sys
+import warnings
 import weakref
 from contextlib import suppress
 from fractions import Fraction
@@ -537,6 +538,7 @@ class TestRunScenario:
             {"map_s": {"type": "projection", "set": {"type": "simplex", "dim": 3}},
              "tasks": SOLVE_BOTH},
             {"x_star": [1.0, 0.0, 0.0], "tasks": ["verify_lemma22"]},
+            {"x_star": [1e308, 0.0]},
             {"set": {"type": "simplex", "dim": 3}, "tasks": ["verify_lemma22"]},
             {"x0": [float("nan"), 1.0], "tasks": ["verify_lemma22"]},
             {"grid": {"vi_tolerance": 1e-9}, "tasks": ["solve_pg", "brute_force"]},
@@ -558,7 +560,8 @@ class TestRunScenario:
             {"config": dict(BASE_SCENARIO["config"], **{"lambda": "0.4"})},
         ],
         ids=["lambda-str", "lambda-null", "x0-str", "tasks-int", "grid-h-str", "moduli-m-str",
-             "list-doc", "fixed-point-3d", "anchor-3d", "projection-3d", "x-star-3d", "set-3d",
+             "list-doc", "fixed-point-3d", "anchor-3d", "projection-3d", "x-star-3d",
+             "x-star-image-overflows", "set-3d",
              "x0-nan", "grid-no-h", "moduli-no-eps", "moduli-m-negative", "moduli-nan",
              "delta-nan", "grid-over-point-guard", "grid-5d", "max-iters-inf", "seed-inf",
              "seed-negative", "simplex-dim-inf", "max-iters-float", "max-iters-bool",
@@ -636,6 +639,23 @@ class TestRunScenario:
         assert sorted(p.name for p in out_dir.iterdir()) == ["shaped.reports.json"]
         assert read_reports(out_dir, "shaped")["error"] == (
             f"{field} has shape (1, 2), expected (2,)")
+
+    def test_x_star_whose_image_overflows_exits_3_before_any_task(self, tmp_path):
+        # x_star is finite, but A x_star = (2e308 - 2, 1) is not: solve_pg wrote inf
+        # in every s_n, bound_n and dist_n cell and exited 0 with two RuntimeWarnings
+        doc = json.loads(cli.golden_path("box_diag").read_text())
+        doc.update(x_star=[1e308, 0.0], tasks=["solve_pg"])
+        doc_path = tmp_path / "box_diag.json"
+        doc_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert cli.run_scenario(doc_path, out_dir) == 3
+        assert [str(w.message) for w in record] == []
+        assert [p.name for p in out_dir.iterdir()] == ["box_diag.reports.json"]
+        payload = read_reports(out_dir, "box_diag")
+        assert payload["error"] == "the operator's image of x_star has non-finite entries"
+        assert payload["tasks"] == {} and payload["reports"] == []
 
     @pytest.mark.parametrize("changes,error", [
         ({"set": {"type": "simplex", "dim": 10**15}},

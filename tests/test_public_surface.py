@@ -1,13 +1,17 @@
 """Every public function, class and method of vikit has a user: some module of
 the package loads its name, README names it, or the benchmark tracer wraps it.
-A public name with none of these is dead code or an undocumented feature."""
+A public name with none of these is dead code or an undocumented feature.
+Each has one import path, ``vikit.<module>.<name>``: the package itself
+re-exports nothing."""
 
 import ast
 import re
+import types
 from pathlib import Path
 
 import pytest
 
+import vikit
 from test_tracing_names import _listed_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,3 +77,13 @@ SOLE_EVIDENCE = {
 @pytest.mark.parametrize("qualified,kind", sorted(SOLE_EVIDENCE.items()))
 def test_the_scan_sees_each_kind_of_evidence(qualified, kind):
     assert evidence(public_definitions()[qualified]) == [kind]
+
+
+def test_the_package_holds_only_its_modules():
+    # every public attribute of vikit is one of its submodules: no name has a
+    # second import path through the package
+    others = sorted(name for name, value in vars(vikit).items() if not name.startswith("_")
+                    and not (isinstance(value, types.ModuleType)
+                             and value.__name__ == f"vikit.{name}"))
+    assert others == []
+    assert vikit.__version__

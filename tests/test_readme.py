@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import vikit
+from vikit import operators, verification
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,20 +44,22 @@ def checks_table_names() -> list[str]:
 
 
 def test_checks_table_names_the_exported_pairwise_checkers():
-    # every exported checker that takes an operator, called with constants of
-    # 0.5 on the identity, reports a property the table lists, and only those
-    op = vikit.AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])
+    # every checker that operators or verification defines and that takes an
+    # operator, called with constants of 0.5 on the identity, reports a
+    # property the table lists, and only those
+    op = operators.AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])
     reported = []
-    for name in dir(vikit):
-        checker = getattr(vikit, name)
-        if not (name.startswith(("check_", "lemma_")) and callable(checker)):
-            continue
-        params = list(inspect.signature(checker).parameters)
-        if params[0] != "op":
-            continue
-        report = checker(op, *[0.5] * (len(params) - 1))
-        report = report[0] if isinstance(report, tuple) else report
-        reported.append(report.property.split("(")[0])
+    for module in (operators, verification):
+        for name, checker in vars(module).items():
+            if not (name.startswith(("check_", "lemma_")) and callable(checker)
+                    and checker.__module__ == module.__name__):
+                continue
+            params = list(inspect.signature(checker).parameters)
+            if params[0] != "op":
+                continue
+            report = checker(op, *[0.5] * (len(params) - 1))
+            report = report[0] if isinstance(report, tuple) else report
+            reported.append(report.property.split("(")[0])
     table = checks_table_names()
     assert len(table) == len(set(table))
     assert sorted(table) == sorted(reported)

@@ -687,6 +687,21 @@ class TestShapeMessages:
         assert str(DimensionMismatchError(2, 3)) == "vector has dimension 3, expected 2"
 
 
+def test_reference_point_whose_image_overflows_is_refused_without_a_warning():
+    # x_ref is finite, but A x_ref = (+-2e308 - 2, 1) is not: every s_n, and every
+    # bound s_n / gamma, would be inf
+    op = AffineOperator(matrix=[[2.0, 0.0], [0.0, 1.0]], offset=[-2.0, 1.0])
+    cfg = IterationConfig(step=0.4)
+    message = "^the operator's image of x_ref has non-finite entries$"
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match=message):
+            solve_projected_gradient(op, UNIT_BOX, cfg, [0.0, 1.0], x_ref=[1e308, 0.0])
+        with pytest.raises(ValidationError, match=message):
+            solve_halpern(op, UNIT_BOX, Identity(), cfg, [0.0, 1.0], x_ref=[-1e308, 0.0])
+    assert [str(w.message) for w in record] == []
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestLoopErrors:
     """Errors raised inside a solve keep their type and message."""

@@ -11,9 +11,10 @@ of every set and map type, every array field of ``operator``, ``set`` and
 ``map_s`` broken four ways (a NaN or 1e400 literal, which only the json
 decoder reads, one axis too few or too many), a task listed twice, a
 ``name`` that is not a string, a ``description`` of 7 or null, a ``map_s``
-without ``type``, a box far from the origin whose every grid node solves the
-VI, one far from the origin whose solution is its grid's upper corner, and one
-probe per edge of the decoder's guard (see ``_decoder_probes``).
+without ``type``, a finite ``x_star`` whose image overflows, a box far from
+the origin whose every grid node solves the VI, one far from the origin whose
+solution is its grid's upper corner, and one probe per edge of the decoder's
+guard (see ``_decoder_probes``).
 
 A run differs when its exit code, stdout, stderr (with each tree's path
 written as SRC), set of output files or any file's bytes differ.  Every
@@ -90,6 +91,8 @@ MIXED = {
     "map-no-type": {"map_s": {}},
     "description-7": {"description": 7},
     "description-null": {"description": None},
+    # finite, but A x_star = (2e308 - 2, 1) is not
+    "x_star-image-overflow": {"x_star": [1e308, 0.0]},
     # A = 1e-12 (x - c) on [1e6, 1e6 + 0.005]^2, c its centre: all 36 nodes solve the VI
     "singleton-shift": {
         "operator": {"matrix": [[1e-12, 0.0], [0.0, 1e-12]],
