@@ -608,12 +608,13 @@ class TestRunScenario:
          "grid spec field 'vi_tolerance' must be a number, got \"1e-9\""),
         ({"delta": [1e-6], "tasks": ["compare_stopping"]},
          "scenario field 'delta' must be a number, got [1e-06]"),
+        ({"x_star": [1e308, 0.0]}, "the operator's image of x_star has non-finite entries"),
     ], ids=["max-iters-float", "max-iters-bool", "seed-float", "simplex-dim-float",
             "lambda-numeric-str", "tol-bool", "schedule-str", "radius-str", "offset-null",
-            "t-bool", "moduli-str", "vi-tolerance-str", "delta-list"])
+            "t-bool", "moduli-str", "vi-tolerance-str", "delta-list", "x-star-image-overflows"])
     def test_number_field_of_the_wrong_type_is_named(self, tmp_path, changes, error):
         # a number field holds a JSON number, not a boolean, a string or null;
-        # max_iters, seed and dim hold an integral one
+        # max_iters, seed and dim hold an integral one; x_star's image is finite
         doc_path = write_scenario(tmp_path, name="typed", **changes)
         out_dir = tmp_path / "out"
         assert cli.run_scenario(doc_path, out_dir) == 3
@@ -643,18 +644,12 @@ class TestRunScenario:
     def test_x_star_whose_image_overflows_exits_3_before_any_task(self, tmp_path):
         # x_star is finite, but A x_star = (2e308 - 2, 1) is not: solve_pg wrote inf
         # in every s_n, bound_n and dist_n cell and exited 0 with two RuntimeWarnings
-        doc = json.loads(cli.golden_path("box_diag").read_text())
-        doc.update(x_star=[1e308, 0.0], tasks=["solve_pg"])
-        doc_path = tmp_path / "box_diag.json"
-        doc_path.write_text(json.dumps(doc))
-        out_dir = tmp_path / "out"
+        doc_path = write_scenario(tmp_path, name="overflow", x_star=[1e308, 0.0])
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            assert cli.run_scenario(doc_path, out_dir) == 3
+            assert cli.run_scenario(doc_path, tmp_path) == 3
         assert [str(w.message) for w in record] == []
-        assert [p.name for p in out_dir.iterdir()] == ["box_diag.reports.json"]
-        payload = read_reports(out_dir, "box_diag")
-        assert payload["error"] == "the operator's image of x_star has non-finite entries"
+        payload = read_reports(tmp_path, "overflow")
         assert payload["tasks"] == {} and payload["reports"] == []
 
     @pytest.mark.parametrize("changes,error", [

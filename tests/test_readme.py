@@ -1,15 +1,18 @@
 """README's "Library example" runs and prints what its comments promise, and
 its table of checks names what the exported checkers report."""
 
+import importlib
 import inspect
 import math
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vikit import operators, verification
+import vikit
+from vikit import operators
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,12 +47,13 @@ def checks_table_names() -> list[str]:
 
 
 def test_checks_table_names_the_exported_pairwise_checkers():
-    # every checker that operators or verification defines and that takes an
-    # operator, called with constants of 0.5 on the identity, reports a
-    # property the table lists, and only those
+    # every checker that a vikit module defines and that takes an operator,
+    # called with constants of 0.5 on the identity, reports a property the
+    # table lists, and only those
     op = operators.AffineOperator(matrix=np.eye(2), offset=[0.0, 0.0])
     reported = []
-    for module in (operators, verification):
+    for info in pkgutil.iter_modules(vikit.__path__):
+        module = importlib.import_module(f"vikit.{info.name}")
         for name, checker in vars(module).items():
             if not (name.startswith(("check_", "lemma_")) and callable(checker)
                     and checker.__module__ == module.__name__):

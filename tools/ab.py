@@ -1,17 +1,18 @@
 """Paired A/B timing of two source trees, one ``run_scenario`` call per side per pair.
 
     python3 tools/ab.py PARENT_SRC CHANGE_SRC [--workload golden|small_n|large_n|all]
-                        [--pairs N] [--restarts R]
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  Each
 tree runs in its own worker process (``PYTHONPATH`` set to the tree, 1 BLAS
 thread), warmed by 5 calls.  A pair makes one ``vikit.cli.run_scenario`` call
 per side on the same input, the order of the two sides random, and times each
 call's ``perf_counter`` and ``process_time`` spans in the worker.  The pairs
-of a run are split over R + 1 starts of fresh workers (R restarts), so no
-single process's memory layout decides the result.  The A/B run of the parent
-against the change alternates, start by start, with an A/A run of the parent
-against itself, whose interval should hold 1.
+of a run are split over 6 starts of fresh workers (5 restarts), so no single
+process's memory layout decides the result; the two workers are spawned and
+warmed in one order at even starts and in the other at odd ones, since the
+worker spawned second ran about 0.5% faster in an A/A run of one tree.  The
+A/B run of the parent against the change alternates, start by start, with an
+A/A run of the parent against itself, whose interval should hold 1.
 
 The inputs are perfbench's ``golden``, ``small_n`` and ``large_n`` files at
 seed 1 (the bundled goldens read from CHANGE_SRC).  For each workload and
@@ -41,7 +42,8 @@ import workloads  # noqa: E402
 
 WORKLOAD_SEED = 1
 WARMUP_CALLS = 5
-DEFAULT_PAIRS = {"golden": 400, "small_n": 200, "large_n": 60}
+PAIRS = {"golden": 400, "small_n": 200, "large_n": 60}
+RESTARTS = 5
 BOOTSTRAP_RESAMPLES = 2000
 
 
@@ -82,13 +84,15 @@ class Worker:
         self.proc.wait()
 
 
-def segment(trees, entries, pairs: int, first: int, rng: random.Random, work: Path) -> list:
-    """``pairs`` pairs on fresh workers, inputs ``entries[first:]`` round robin:
-    one (exit codes, wall ratio, cpu ratio) per pair, each ratio second/first tree."""
+def segment(trees, entries, pairs: int, first: int, rng: random.Random, work: Path,
+            spawn: list[int]) -> list:
+    """``pairs`` pairs on fresh workers spawned in the side order ``spawn``, inputs
+    ``entries[first:]`` round robin: one (exit codes, wall ratio, cpu ratio) per
+    pair, each ratio second/first tree."""
     work.mkdir(parents=True)
-    workers = [Worker(src, work / f"out{side}") for side, src in enumerate(trees)]
+    workers = {side: Worker(trees[side], work / f"out{side}") for side in spawn}
     try:
-        for worker in workers:
+        for worker in workers.values():
             for i in range(WARMUP_CALLS):
                 worker.call(entries[i % len(entries)])
         results = []
@@ -100,7 +104,7 @@ def segment(trees, entries, pairs: int, first: int, rng: random.Random, work: Pa
             results.append(((code_a, code_b), wall_b / wall_a, cpu_b / cpu_a))
         return results
     finally:
-        for worker in workers:
+        for worker in workers.values():
             worker.close()
 
 
@@ -117,36 +121,27 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path, help="src directory of the parent tree")
     parser.add_argument("change_src", type=Path, help="src directory of the changed tree")
-    parser.add_argument("--workload", default="all", choices=[*DEFAULT_PAIRS, "all"])
-    parser.add_argument("--pairs", type=int, help="pairs per comparison (default: "
-                        + ", ".join(f"{k} {v}" for k, v in DEFAULT_PAIRS.items()) + ")")
-    parser.add_argument("--restarts", type=int, default=4,
-                        help="fresh-worker restarts per comparison (default 4)")
+    parser.add_argument("--workload", default="all", choices=[*PAIRS, "all"])
     args = parser.parse_args(argv)
-    if args.restarts < 0 or (args.pairs is not None and args.pairs < args.restarts + 1):
-        parser.error("need --restarts >= 0 and at least one pair per start")
 
     parent, change = args.parent_src.resolve(), args.change_src.resolve()
     comparisons = {"change/parent": (parent, change), "parent/parent": (parent, parent)}
-    names = list(DEFAULT_PAIRS) if args.workload == "all" else [args.workload]
+    names = list(PAIRS) if args.workload == "all" else [args.workload]
     rng, boot_rng = random.Random(), np.random.default_rng()
     with tempfile.TemporaryDirectory(prefix="ab.") as tmp:
-        goldens = Path(tmp) / "goldens"
-        goldens.mkdir()
-        for path in sorted((change / "vikit" / "scenarios").glob("*.json")):
-            (goldens / path.name).write_bytes(path.read_bytes())
         for name in names:
             (Path(tmp) / name).mkdir()
-            entries = workloads.WORKLOADS[name](WORKLOAD_SEED, Path(tmp) / name, goldens)
-            pairs = args.pairs or DEFAULT_PAIRS[name]
-            starts = args.restarts + 1
+            entries = workloads.WORKLOADS[name](WORKLOAD_SEED, Path(tmp) / name,
+                                                change / "vikit" / "scenarios")
+            pairs, starts = PAIRS[name], RESTARTS + 1
             results = {label: [] for label in comparisons}
             for start in range(starts):
                 count = pairs // starts + (start < pairs % starts)
                 for label, trees in comparisons.items():
                     work = Path(tmp) / "runs" / f"{name}-{label.replace('/', '-')}-{start}"
+                    spawn = [0, 1] if start % 2 == 0 else [1, 0]
                     results[label] += segment(trees, entries, count, len(results[label]),
-                                              rng, work)
+                                              rng, work, spawn)
             print(f"{name}: {pairs} pairs per comparison over {starts} worker starts, "
                   f"{len(entries)} inputs")
             for label, rows in results.items():
